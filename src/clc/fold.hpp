@@ -57,9 +57,11 @@ inline Folded fold_binary(Op op, FoldKind ka, const Value& a, FoldKind kb,
     out.v.FIELD = (EXPR);                                \
     return out;
   switch (op) {
-    HPLREPRO_FOLD_BIN(AddI, I64, I64, i64, a.i64 + b.i64)
-    HPLREPRO_FOLD_BIN(SubI, I64, I64, i64, a.i64 - b.i64)
-    HPLREPRO_FOLD_BIN(MulI, I64, I64, i64, a.i64 * b.i64)
+    // Integer add/sub/mul (and NegI below) wrap in two's complement: they
+    // run on the u64 view because signed overflow is undefined in C++.
+    HPLREPRO_FOLD_BIN(AddI, I64, I64, u64, a.u64 + b.u64)
+    HPLREPRO_FOLD_BIN(SubI, I64, I64, u64, a.u64 - b.u64)
+    HPLREPRO_FOLD_BIN(MulI, I64, I64, u64, a.u64 * b.u64)
     HPLREPRO_FOLD_BIN(DivI, I64, I64, i64,
                       b.i64 == 0 ? 0
                                  : (a.i64 == INT64_MIN && b.i64 == -1
@@ -125,7 +127,7 @@ inline Folded fold_unary(Op op, FoldKind ka, const Value& a) {
     out.v.FIELD = (EXPR);                               \
     return out;
   switch (op) {
-    HPLREPRO_FOLD_UN(NegI, I64, I64, i64, -a.i64)
+    HPLREPRO_FOLD_UN(NegI, I64, I64, u64, 0 - a.u64)
     HPLREPRO_FOLD_UN(NotI, I64, I64, u64, ~a.u64)
     HPLREPRO_FOLD_UN(NegF, F32, F32, f32, -a.f32)
     HPLREPRO_FOLD_UN(NegD, F64, F64, f64, -a.f64)

@@ -320,9 +320,11 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
     a.FIELD = (EXPR);                                                       \
     break;                                                                  \
   }
-      HPLREPRO_BIN_CASE(AddI, i64, a.i64 + b.i64)
-      HPLREPRO_BIN_CASE(SubI, i64, a.i64 - b.i64)
-      HPLREPRO_BIN_CASE(MulI, i64, a.i64 * b.i64)
+      // Integer add/sub/mul (and NegI, MadI) wrap in two's complement:
+      // they run on the u64 view because signed overflow is undefined.
+      HPLREPRO_BIN_CASE(AddI, u64, a.u64 + b.u64)
+      HPLREPRO_BIN_CASE(SubI, u64, a.u64 - b.u64)
+      HPLREPRO_BIN_CASE(MulI, u64, a.u64 * b.u64)
       HPLREPRO_BIN_CASE(DivI, i64, b.i64 == 0 ? 0 : (a.i64 == INT64_MIN && b.i64 == -1 ? a.i64 : a.i64 / b.i64))
       HPLREPRO_BIN_CASE(DivU, u64, b.u64 == 0 ? 0 : a.u64 / b.u64)
       HPLREPRO_BIN_CASE(RemI, i64, b.i64 == 0 ? 0 : (a.i64 == INT64_MIN && b.i64 == -1 ? 0 : a.i64 % b.i64))
@@ -365,7 +367,7 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
       HPLREPRO_BIN_CASE(GeD, i64, a.f64 >= b.f64 ? 1 : 0)
 #undef HPLREPRO_BIN_CASE
 
-      case Op::NegI: top().i64 = -top().i64; break;
+      case Op::NegI: top().u64 = 0 - top().u64; break;
       case Op::NotI: top().u64 = ~top().u64; break;
       case Op::NegF: top().f32 = -top().f32; break;
       case Op::NegD: top().f64 = -top().f64; break;
@@ -588,12 +590,12 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
           const Value z = pop();
           const Value y = pop();
           Value& x = top();
-          x.i64 = x.i64 * y.i64 + z.i64;
+          x.u64 = x.u64 * y.u64 + z.u64;
         } else {
           const Value y = pop();
           const Value x = pop();
           Value& z = top();
-          z.i64 = z.i64 + x.i64 * y.i64;
+          z.u64 = z.u64 + x.u64 * y.u64;
         }
         ++stats.fused_ops;
         break;
@@ -960,9 +962,10 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
     R[in->dst].FIELD = (EXPR);                                              \
   }                                                                         \
   VM_NEXT
-  HPLREPRO_RBIN(AddI, i64, a.i64 + b.i64)
-  HPLREPRO_RBIN(SubI, i64, a.i64 - b.i64)
-  HPLREPRO_RBIN(MulI, i64, a.i64 * b.i64)
+  // Wrapping integer arithmetic on the u64 view, as in the stack VM.
+  HPLREPRO_RBIN(AddI, u64, a.u64 + b.u64)
+  HPLREPRO_RBIN(SubI, u64, a.u64 - b.u64)
+  HPLREPRO_RBIN(MulI, u64, a.u64 * b.u64)
   HPLREPRO_RBIN(DivI, i64, b.i64 == 0 ? 0 : (a.i64 == INT64_MIN && b.i64 == -1 ? a.i64 : a.i64 / b.i64))
   HPLREPRO_RBIN(DivU, u64, b.u64 == 0 ? 0 : a.u64 / b.u64)
   HPLREPRO_RBIN(RemI, i64, b.i64 == 0 ? 0 : (a.i64 == INT64_MIN && b.i64 == -1 ? 0 : a.i64 % b.i64))
@@ -1008,7 +1011,7 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 #define HPLREPRO_RUN1(NAME, STMT)                                           \
   VM_CASE(NAME) { STMT; }                                                   \
   VM_NEXT
-  HPLREPRO_RUN1(NegI, R[in->dst].i64 = -R[in->a].i64)
+  HPLREPRO_RUN1(NegI, R[in->dst].u64 = 0 - R[in->a].u64)
   HPLREPRO_RUN1(NotI, R[in->dst].u64 = ~R[in->a].u64)
   HPLREPRO_RUN1(NegF, R[in->dst].f32 = -R[in->a].f32)
   HPLREPRO_RUN1(NegD, R[in->dst].f64 = -R[in->a].f64)
@@ -1038,7 +1041,7 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 
   VM_CASE(MadI) {
     // Integer add commutes, so the operand-order bit is irrelevant here.
-    R[in->dst].i64 = R[in->a].i64 * R[in->b].i64 + R[in->c].i64;
+    R[in->dst].u64 = R[in->a].u64 * R[in->b].u64 + R[in->c].u64;
   }
   VM_NEXT
 

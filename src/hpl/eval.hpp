@@ -14,11 +14,15 @@
 /// Defaults: the device is the first non-CPU device; the global domain is
 /// the dimensions of the first array argument; the local domain is chosen
 /// by the library.
+///
+/// This header is only the front end: every invocation is recorded as a
+/// DagNode and reaches a device through detail::launch_node() (fusion.hpp)
+/// — deferred to the next forcing point (fusion on), launched at once
+/// (fusion off), or, with .devices({...}) naming two or more devices, split
+/// into work-group chunks by detail::launch_coexec(), each chunk one
+/// launch_node() call.
 
-#include <algorithm>
-#include <functional>
 #include <initializer_list>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -26,13 +30,11 @@
 #include <utility>
 #include <vector>
 
-#include "clsim/executor.hpp"
 #include "coexec/coexec.hpp"
 #include "hpl/array.hpp"
 #include "hpl/codegen.hpp"
 #include "hpl/fusion.hpp"
 #include "hpl/runtime.hpp"
-#include "hpl/trace.hpp"
 #include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
 #include "support/trace.hpp"
@@ -58,155 +60,6 @@ struct HplArrayTraits<Array<T, N, F>> {
   static constexpr int ndim = N;
   static constexpr MemFlag flag = F;
 };
-
-/// Typed scalar argument setter; widens narrow integers for the clsim API
-/// (the runtime re-normalises to the kernel parameter's declared type).
-template <typename T>
-void set_scalar_arg(hplrepro::clsim::Kernel& kernel, unsigned index, T value) {
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    kernel.set_arg(index, value);
-  } else if constexpr (std::is_signed_v<T>) {
-    kernel.set_arg(index, static_cast<std::int64_t>(value));
-  } else {
-    kernel.set_arg(index, static_cast<std::uint64_t>(value));
-  }
-}
-
-struct BoundArray {
-  ArrayImplPtr impl;
-  bool written = false;
-  int ndim = 0;
-  /// The device copy the argument was bound to (stable address: the
-  /// copies map never invalidates references). Used to thread event
-  /// dependencies between the launch and cross-queue copies.
-  ArrayImpl::DeviceCopy* copy = nullptr;
-};
-
-/// How an array's outermost dimension maps onto the split NDRange
-/// dimension of a co-executed launch.
-enum class SplitMap {
-  None,      // does not map; reads stay whole-array, writes forbid a split
-  PerGroup,  // dims[0] == num_groups[split]: one row per work-group
-  PerItem,   // dims[0] in (sizes[split]-local[split], sizes[split]]:
-             // one row per work-item, guard-clamped at the tail
-};
-
-/// Byte range of the outermost-dimension rows a chunk of `group_count`
-/// work-groups starting at `group_begin` touches, under `map`.
-/// `local_split` is the local size along the split dimension; `halo`
-/// widens the range by that many rows on each side (reads of stencil
-/// neighbourhoods), clamped to the array.
-inline ByteRange chunk_row_range(const ArrayImpl& impl, SplitMap map,
-                                 std::size_t group_begin,
-                                 std::size_t group_count,
-                                 std::size_t local_split, std::size_t halo) {
-  const std::size_t d0 = impl.dims[0];
-  const std::size_t row_bytes = impl.bytes() / d0;
-  std::size_t row_begin, row_end;
-  if (map == SplitMap::PerGroup) {
-    row_begin = group_begin;
-    row_end = group_begin + group_count;
-  } else {
-    row_begin = group_begin * local_split;
-    row_end = std::min((group_begin + group_count) * local_split, d0);
-  }
-  if (halo != 0) {
-    row_begin = row_begin > halo ? row_begin - halo : 0;
-    row_end = std::min(row_end + halo, d0);
-  }
-  return ByteRange{row_begin * row_bytes, row_end * row_bytes};
-}
-
-/// One array argument of a co-executed eval: its access pattern and how
-/// its outermost dimension maps onto the split NDRange dimension.
-struct CoexecArray {
-  ArrayImplPtr impl;
-  bool read = false;
-  bool written = false;
-  int ndim = 0;
-  SplitMap map = SplitMap::None;
-};
-
-/// Per-chunk binding context threaded through the pre-built parameter
-/// binder closures (one per kernel parameter, in parameter order).
-struct CoexecBindCtx {
-  DeviceEntry* dev = nullptr;
-  hplrepro::clsim::Kernel* kernel = nullptr;
-  const hplrepro::coexec::Chunk* chunk = nullptr;
-  std::vector<BoundArray>* bound = nullptr;
-  std::vector<hplrepro::clsim::Event>* deps = nullptr;
-  const std::vector<CoexecArray>* plan = nullptr;
-  std::size_t local_split = 1;
-  /// Narrow mapped-array reads to the chunk's rows (.halo(n) was given)?
-  /// Without it reads stay whole-array: mapping only says which rows a
-  /// chunk WRITES — a transposed or strided read of the same array can
-  /// touch rows far outside them.
-  bool narrow_reads = false;
-  std::size_t halo = 0;
-};
-
-using CoexecBinder = std::function<void(CoexecBindCtx&)>;
-
-/// Completion-side accounting for one launch (or one co-execution chunk):
-/// simulated seconds, the per-kernel profiler registry, and — when metrics
-/// were on at enqueue — the latency histogram and critical-path record.
-/// Shared by the single-device eval path and every coexec chunk so the
-/// metrics invariants (launches == latency count == critical-path evals)
-/// hold chunk-for-chunk.
-inline void account_launch_settled(
-    Runtime& rt, hplrepro::clsim::Event& event, const std::string& name,
-    const std::string& dev_name, bool cache_hit, bool metrics_on,
-    std::vector<hplrepro::clsim::Event> transfers, double eval_start_us,
-    double enqueue_us, double capture_us, double codegen_us,
-    double build_us, double marshal_us) {
-  namespace clsim = hplrepro::clsim;
-  event.on_settled([&rt, name, dev_name, cache_hit, metrics_on,
-                    transfers = std::move(transfers), eval_start_us,
-                    enqueue_us, capture_us, codegen_us, build_us,
-                    marshal_us](const clsim::Event& e, bool failed) {
-    if (failed) {
-      profiler_record_failed_launch(name, dev_name, cache_hit);
-      return;
-    }
-    rt.with_prof([&](ProfileSnapshot& p) {
-      p.kernel_sim_seconds += e.sim_seconds();
-      p.sim_wall_seconds += e.wall_seconds();
-    });
-    profiler_record_launch(name, dev_name, cache_hit, e);
-    // Gated on the *enqueue-time* decision so the launch counter, the
-    // latency histogram and the critical-path log always agree even if
-    // metrics are toggled while commands are in flight.
-    if (metrics_on) {
-      namespace metrics = hplrepro::metrics;
-      // All of this eval's commands completed at or before the kernel
-      // (transfers are ordered ahead of it), so the profiling accessors
-      // below never block.
-      const double done_us = e.host_ended_us();
-      static auto& latency = metrics::histogram("hpl.eval.latency_ns");
-      const double latency_us = done_us - eval_start_us;
-      latency.record_always(
-          latency_us > 0 ? static_cast<std::uint64_t>(latency_us * 1e3)
-                         : 0);
-      metrics::CriticalPathInput input;
-      input.kernel = name;
-      input.device = dev_name;
-      input.start_us = eval_start_us;
-      input.enqueue_us = enqueue_us;
-      input.done_us = done_us;
-      input.kernel_start_us = e.host_started_us();
-      input.kernel_end_us = done_us;
-      for (const auto& t : transfers) {
-        input.transfer_windows.emplace_back(t.host_started_us(),
-                                            t.host_ended_us());
-      }
-      input.capture_us = capture_us;
-      input.codegen_us = codegen_us;
-      input.build_us = build_us;
-      input.marshal_us = marshal_us;
-      metrics::record_critical_path(input);
-    }
-  });
-}
 
 }  // namespace detail
 
@@ -285,19 +138,12 @@ public:
   void operator()(Actuals&&... actuals) {
     static_assert(sizeof...(Actuals) == kNumParams,
                   "eval: wrong number of kernel arguments");
-    if (devices_.size() == 1) device_ = devices_[0];
-    if (devices_.size() >= 2) {
-      run_coexec(std::index_sequence_for<Params...>{},
-                 std::forward<Actuals>(actuals)...);
-    } else {
-      run(std::index_sequence_for<Params...>{},
-          std::forward<Actuals>(actuals)...);
-    }
+    run(std::index_sequence_for<Params...>{}, actuals...);
   }
 
 private:
   template <std::size_t... Is, typename... Actuals>
-  void run(std::index_sequence<Is...>, Actuals&&... actuals) {
+  void run(std::index_sequence<Is...>, Actuals&... actuals) {
     namespace clsim = hplrepro::clsim;
     using detail::CachedKernel;
     using detail::Runtime;
@@ -306,6 +152,12 @@ private:
       throw hplrepro::Error(
           "HPL: eval can only be used in host code (paper §III-C)");
     }
+    if (devices_.size() == 1) device_ = devices_[0];
+    const bool coexec = devices_.size() >= 2;
+    // A co-executed eval is a forcing point: deferred producers must land
+    // before the NDRange is split across devices (the per-chunk coherence
+    // logic reasons about materialised arrays, not pending rewrites).
+    if (coexec) detail::flush_dag();
 
     Runtime& rt = Runtime::get();
     hplrepro::Stopwatch host_watch;
@@ -326,15 +178,16 @@ private:
     // Everything the launch needs is resolved here (device entry, global
     // range, snapshotted scalar values), so eval() keeps its error
     // contract and later host mutations cannot change what was asked.
+    // A co-executed node gets its device per chunk (launch_coexec).
     detail::DagNode node;
     node.cached = cached;
-    node.dev = &rt.entry(device_);
+    node.dev = coexec ? nullptr : &rt.entry(device_);
     node.metrics_on = metrics_on;
     node.eval_start_us = eval_start_us;
     node.capture_us = capture_us;
     node.codegen_us = codegen_us;
     std::optional<clsim::NDRange> default_global;
-    (record_arg<Params>(actuals, *cached, node, default_global), ...);
+    (record_arg<Params>(actuals, node, default_global), ...);
 
     if (global_.has_value()) {
       node.global = *global_;
@@ -348,13 +201,18 @@ private:
     node.local = local_;
 
     // Front-end overhead (capture/codegen/marshal of the record) counts
-    // as eval host time in both modes; launch_node accounts its own
-    // window, so the two sum to the full per-launch overhead.
+    // as eval host time in every mode; launch_node accounts its own
+    // window per launch, so the two sum to the full per-launch overhead.
     rt.with_prof([&](ProfileSnapshot& p) {
       p.host_seconds += host_watch.seconds();
     });
 
-    if (detail::fusion_active()) {
+    if (coexec) {
+      // Split across the devices; every chunk launches through
+      // launch_node.
+      detail::launch_coexec(rt, node, devices_, policy_, split_dim_,
+                            halo_rows_);
+    } else if (detail::fusion_active()) {
       // Deferred: launches at the next forcing point, possibly fused.
       detail::record_node(std::move(node));
     } else {
@@ -411,368 +269,14 @@ private:
     return cached;
   }
 
-  /// Co-executed eval (two or more devices): the NDRange is partitioned
-  /// into runs of work-groups along one dimension, each run launched as a
-  /// LaunchSlice on one device, with chunk distribution driven by the
-  /// coexec dispatcher under `policy_`. Per-chunk transfers and write
-  /// marks are region-granular, so the devices end the eval holding
-  /// disjoint valid ranges; the next consumer merges them lazily (d2d)
-  /// through ensure_on_device / make_host_current_async.
-  ///
-  /// Every chunk is a full mini-eval for accounting purposes — its own
-  /// launch counter tick, cache hit/miss, latency-histogram sample and
-  /// critical-path record — so the metrics invariants hold chunk-for-chunk.
-  template <std::size_t... Is, typename... Actuals>
-  void run_coexec(std::index_sequence<Is...>, Actuals&&... actuals) {
-    namespace clsim = hplrepro::clsim;
-    namespace coexec = hplrepro::coexec;
-    using detail::CachedKernel;
-    using detail::Runtime;
-    using detail::SplitMap;
-
-    if (detail::KernelBuilder::current() != nullptr) {
-      throw hplrepro::Error(
-          "HPL: eval can only be used in host code (paper §III-C)");
-    }
-
-    // A co-executed eval is a forcing point: deferred producers must land
-    // before the NDRange is split across devices (the per-chunk coherence
-    // logic reasons about materialised arrays, not pending rewrites).
-    detail::flush_dag();
-
-    Runtime& rt = Runtime::get();
-    const bool metrics_on = hplrepro::metrics::enabled();
-    const double eval_start_us = metrics_on ? hplrepro::trace::now_us() : 0.0;
-    double capture_us = 0, codegen_us = 0;
-
-    CachedKernel* cached = capture_kernel(
-        rt, std::index_sequence<Is...>{}, capture_us, codegen_us);
-
-    // Device entries, in dispatcher-slot order.
-    std::vector<detail::DeviceEntry*> entries;
-    entries.reserve(devices_.size());
-    for (const Device& d : devices_) entries.push_back(&rt.entry(d));
-
-    // Collect array roles and pre-build one binder closure per parameter.
-    std::vector<detail::CoexecArray> infos;
-    std::vector<detail::CoexecBinder> binders;
-    std::optional<clsim::NDRange> default_global;
-    (make_coexec_binder<Params>(static_cast<unsigned>(Is), actuals, *cached,
-                                infos, binders, default_global),
-     ...);
-
-    // --- Domains ---
-    clsim::NDRange global_range;
-    if (global_.has_value()) {
-      global_range = *global_;
-    } else if (default_global.has_value()) {
-      global_range = *default_global;
-    } else {
-      throw hplrepro::InvalidArgument(
-          "HPL: no global domain: specify .global(...) or pass an array "
-          "first argument");
-    }
-    // The split plan needs the concrete work-group geometry, so resolve
-    // the local range now (identically for every device) instead of
-    // letting each enqueue pick one.
-    const clsim::NDRange local_used =
-        local_.has_value() ? *local_ : clsim::choose_local_range(global_range);
-    for (int d = 0; d < global_range.dims; ++d) {
-      if (local_used.sizes[d] == 0 ||
-          global_range.sizes[d] % local_used.sizes[d] != 0) {
-        throw hplrepro::InvalidArgument(
-            "HPL coexec: global size must be a multiple of the local size "
-            "in every dimension");
-      }
-    }
-
-    // --- Split dimension and per-array row mapping ---
-    auto map_at = [&](const detail::ArrayImpl& impl, int d) {
-      const std::size_t g = global_range.sizes[d];
-      const std::size_t l = local_used.sizes[d];
-      const std::size_t groups = g / l;
-      const std::size_t d0 = impl.dims[0];
-      if (d0 == groups) return SplitMap::PerGroup;
-      if (d0 <= g && d0 + l > g) return SplitMap::PerItem;
-      return SplitMap::None;
-    };
-
-    int split_d = -1;
-    if (split_dim_.has_value()) {
-      split_d = *split_dim_;
-      if (split_d < 0 || split_d >= global_range.dims) {
-        throw hplrepro::InvalidArgument(
-            "HPL coexec: split_dim is not a dimension of the global range");
-      }
-    } else {
-      bool any_written = false;
-      for (const auto& a : infos) any_written = any_written || a.written;
-      if (!any_written) {
-        split_d = 0;
-      } else {
-        for (int d = 0; d < global_range.dims && split_d < 0; ++d) {
-          bool ok = true;
-          for (const auto& a : infos) {
-            if (a.written && map_at(*a.impl, d) == SplitMap::None) ok = false;
-          }
-          if (ok) split_d = d;
-        }
-        if (split_d < 0) {
-          throw hplrepro::InvalidArgument(
-              "HPL coexec: cannot infer a split dimension (no NDRange "
-              "dimension maps onto the outermost dimension of every written "
-              "array); force one with .split_dim(d)");
-        }
-      }
-    }
-
-    for (auto& a : infos) {
-      a.map = map_at(*a.impl, split_d);
-      if (a.written && a.map == SplitMap::None) {
-        throw hplrepro::InvalidArgument(
-            "HPL coexec: a written array does not map onto the split "
-            "dimension; its writes cannot be partitioned across devices");
-      }
-    }
-
-    const std::size_t local_split = local_used.sizes[split_d];
-    const std::size_t total_groups =
-        global_range.sizes[split_d] / local_split;
-    const std::size_t halo = halo_rows_.value_or(0);
-
-    // --- Per-chunk launch: a full mini-eval on the chunk's device ---
-    bool first_chunk = true;
-    coexec::LaunchFn launch_fn =
-        [&](const coexec::Chunk& chunk) -> std::function<double()> {
-      hplrepro::Stopwatch host_watch;
-      // The one-time capture/codegen belongs to the first chunk's latency
-      // window, exactly like a cold single-device eval. The dispatcher
-      // calls us from one thread, so no synchronisation is needed here.
-      double chunk_capture_us = 0, chunk_codegen_us = 0, chunk_start_us;
-      if (first_chunk) {
-        chunk_capture_us = capture_us;
-        chunk_codegen_us = codegen_us;
-        chunk_start_us = eval_start_us;
-        first_chunk = false;
-      } else {
-        chunk_start_us = metrics_on ? hplrepro::trace::now_us() : 0.0;
-      }
-
-      detail::DeviceEntry& dev =
-          *entries[static_cast<std::size_t>(chunk.slot)];
-      bool cache_hit = false;
-      double build_us = 0;
-      detail::BuiltKernel* built_slot;
-      if (metrics_on) {
-        hplrepro::Stopwatch build_watch;
-        built_slot = &rt.build_for(*cached, dev, &cache_hit);
-        if (!cache_hit) build_us = build_watch.seconds() * 1e6;
-      } else {
-        built_slot = &rt.build_for(*cached, dev, &cache_hit);
-      }
-      detail::BuiltKernel& built = *built_slot;
-
-      detail::TransferCapture transfer_capture;
-      std::vector<detail::BoundArray> bound;
-      std::vector<clsim::Event> deps;
-      double marshal_us = 0;
-      clsim::Event event;
-      {
-        std::lock_guard<std::mutex> launch_lock(*built.launch_mutex);
-        {
-          hplrepro::trace::Span span("marshal", "hpl");
-          std::optional<hplrepro::Stopwatch> watch;
-          if (metrics_on) watch.emplace();
-          span.arg("kernel", cached->name);
-          detail::CoexecBindCtx ctx;
-          ctx.dev = &dev;
-          ctx.kernel = built.kernel.get();
-          ctx.chunk = &chunk;
-          ctx.bound = &bound;
-          ctx.deps = &deps;
-          ctx.plan = &infos;
-          ctx.local_split = local_split;
-          ctx.narrow_reads = halo_rows_.has_value();
-          ctx.halo = halo;
-          for (auto& binder : binders) binder(ctx);
-          if (watch.has_value()) marshal_us = watch->seconds() * 1e6;
-        }
-
-        unsigned hidden = static_cast<unsigned>(kNumParams);
-        for (const auto& b : bound) {
-          for (int d = 1; d < b.ndim; ++d) {
-            built.kernel->set_arg(
-                hidden++,
-                static_cast<std::uint32_t>(
-                    b.impl->dims[static_cast<std::size_t>(d)]));
-          }
-        }
-
-        clsim::LaunchSlice slice;
-        slice.dim = split_d;
-        slice.group_begin = chunk.begin;
-        slice.group_count = chunk.count;
-        hplrepro::trace::Span span("launch", "hpl");
-        try {
-          event = dev.queue->enqueue_ndrange_kernel(
-              *built.kernel, global_range, local_used, std::move(deps),
-              slice);
-        } catch (const hplrepro::clc::TrapError&) {
-          rt.with_prof([&](ProfileSnapshot& p) { p.kernel_launches += 1; });
-          detail::profiler_record_failed_launch(cached->name,
-                                                dev.device.name(), cache_hit);
-          throw;
-        }
-        if (span.active()) {
-          span.arg("kernel", cached->name)
-              .arg("device", dev.device.name())
-              .arg("cache_hit", static_cast<std::uint64_t>(cache_hit))
-              .arg("slice_begin", static_cast<std::uint64_t>(chunk.begin))
-              .arg("slice_count", static_cast<std::uint64_t>(chunk.count));
-        }
-      }
-
-      // bound[k] corresponds to infos[k]: binders push arrays in
-      // parameter order, the same order infos was collected in.
-      for (std::size_t k = 0; k < bound.size(); ++k) {
-        if (infos[k].written) {
-          rt.mark_device_written(
-              *bound[k].impl, dev,
-              detail::chunk_row_range(*bound[k].impl, infos[k].map,
-                                      chunk.begin, chunk.count, local_split,
-                                      0));
-        }
-        bound[k].copy->last_event = event;
-      }
-
-      const double enqueue_us =
-          metrics_on ? hplrepro::trace::now_us() : 0.0;
-      detail::account_launch_settled(
-          rt, event, cached->name, dev.device.name(), cache_hit, metrics_on,
-          transfer_capture.take(), chunk_start_us, enqueue_us,
-          chunk_capture_us, chunk_codegen_us, build_us, marshal_us);
-
-      const double sim_wall =
-          clsim::async_enabled() ? 0.0 : event.wall_seconds();
-      rt.with_prof([&](ProfileSnapshot& p) {
-        p.kernel_launches += 1;
-        p.host_seconds += host_watch.seconds() - sim_wall;
-      });
-      if (metrics_on) {
-        static auto& launches =
-            hplrepro::metrics::counter("hpl.eval.launches");
-        static auto& host_ns =
-            hplrepro::metrics::histogram("hpl.eval.host_ns");
-        launches.add_always(1);
-        const double host_s = host_watch.seconds() - sim_wall;
-        host_ns.record_always(
-            host_s > 0 ? static_cast<std::uint64_t>(host_s * 1e9) : 0);
-      }
-      return [event]() mutable { return event.sim_seconds(); };
-    };
-
-    // Guided chunks are sized by relative computing power (compute units
-    // x clock): the Quadro must not be primed with a Tesla-sized chunk.
-    std::vector<double> weights;
-    weights.reserve(entries.size());
-    for (const detail::DeviceEntry* e : entries) {
-      const auto& spec = e->device.spec();
-      weights.push_back(static_cast<double>(spec.compute_units) *
-                        spec.clock_ghz);
-    }
-    coexec::dispatch(policy_, total_groups,
-                     static_cast<int>(entries.size()), launch_fn, weights);
-  }
-
-  /// Collects the array role and builds the per-chunk binder closure for
-  /// parameter `i` of a co-executed eval. Scalar actuals are snapshotted
-  /// here, once, so every chunk binds the same value.
-  template <typename Param, typename Actual>
-  void make_coexec_binder(
-      unsigned i, Actual& actual, detail::CachedKernel& cached,
-      std::vector<detail::CoexecArray>& infos,
-      std::vector<detail::CoexecBinder>& binders,
-      std::optional<hplrepro::clsim::NDRange>& default_global) {
-    namespace clsim = hplrepro::clsim;
-    using ActualD = std::decay_t<Actual>;
-
-    if constexpr (detail::IsHplArray<Param>::value &&
-                  detail::HplArrayTraits<Param>::ndim >= 1) {
-      static_assert(detail::IsHplArray<ActualD>::value,
-                    "eval: array parameter requires an HPL Array argument");
-      using PT = detail::HplArrayTraits<Param>;
-      using AT = detail::HplArrayTraits<ActualD>;
-      static_assert(std::is_same_v<typename PT::elem, typename AT::elem>,
-                    "eval: array element type mismatch");
-      static_assert(PT::ndim == AT::ndim, "eval: array rank mismatch");
-
-      detail::ArrayImplPtr impl = actual.impl();
-      const detail::ParamAccess access = cached.params[i].access;
-      const std::size_t arr_idx = infos.size();
-      infos.push_back(
-          {impl, access.read, access.written, PT::ndim,
-           detail::SplitMap::None});
-      if (!default_global.has_value()) {
-        clsim::NDRange range;
-        range.dims = static_cast<int>(impl->dims.size());
-        for (std::size_t d = 0; d < impl->dims.size(); ++d) {
-          range.sizes[d] = impl->dims[d];
-        }
-        default_global = range;
-      }
-      binders.push_back([i, arr_idx](detail::CoexecBindCtx& ctx) {
-        detail::Runtime& rt = detail::Runtime::get();
-        const detail::CoexecArray& info = (*ctx.plan)[arr_idx];
-        detail::ArrayImpl& impl_ref = *info.impl;
-        if (info.read) {
-          if (info.map == detail::SplitMap::None || !ctx.narrow_reads) {
-            rt.ensure_on_device(impl_ref, *ctx.dev);
-          } else {
-            rt.ensure_on_device(
-                impl_ref, *ctx.dev,
-                detail::chunk_row_range(impl_ref, info.map,
-                                        ctx.chunk->begin, ctx.chunk->count,
-                                        ctx.local_split, ctx.halo));
-          }
-        }
-        auto& copy = rt.device_copy(impl_ref, *ctx.dev);
-        ctx.kernel->set_arg(i, *copy.buffer);
-        // Cross-queue writes into this buffer (pending d2d merges) are
-        // not serialized by this queue; carry them in the wait-list.
-        for (const auto& e : copy.pending_d2d) {
-          if (!e.complete()) ctx.deps->push_back(e);
-        }
-        copy.pending_d2d.clear();
-        ctx.bound->push_back({info.impl, info.written, info.ndim, &copy});
-      });
-    } else {
-      using T = typename detail::HplArrayTraits<Param>::elem;
-      T value;
-      if constexpr (detail::IsHplArray<ActualD>::value) {
-        static_assert(detail::HplArrayTraits<ActualD>::ndim == 0,
-                      "eval: scalar parameter requires a scalar argument");
-        value = static_cast<T>(actual.value());
-      } else {
-        static_assert(std::is_arithmetic_v<ActualD>,
-                      "eval: scalar parameter requires an arithmetic value");
-        value = static_cast<T>(actual);
-      }
-      binders.push_back([i, value](detail::CoexecBindCtx& ctx) {
-        detail::set_scalar_arg<T>(*ctx.kernel, i, value);
-      });
-    }
-  }
-
   /// Collects actual argument `actual` into the DAG node (array impls are
   /// retained; scalar values snapshotted). Transfers and kernel-argument
   /// binding happen later, in launch_node.
   template <typename Param, typename Actual>
-  void record_arg(Actual& actual, detail::CachedKernel& cached,
-                  detail::DagNode& node,
+  void record_arg(Actual& actual, detail::DagNode& node,
                   std::optional<hplrepro::clsim::NDRange>& default_global) {
     namespace clsim = hplrepro::clsim;
     using ActualD = std::decay_t<Actual>;
-    (void)cached;
 
     if constexpr (detail::IsHplArray<Param>::value &&
                   detail::HplArrayTraits<Param>::ndim >= 1) {

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "hpl/codegen.hpp"
-#include "hpl/eval.hpp"
 #include "support/metrics.hpp"
 
 namespace HPL {
@@ -1114,132 +1113,6 @@ void flush_dag() {
     }
   }
   if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
-void launch_node(Runtime& rt, DagNode& node) {
-  hplrepro::Stopwatch host_watch;
-  const bool metrics_on = node.metrics_on;
-  DeviceEntry& dev = *node.dev;
-  CachedKernel& cached = *node.cached;
-
-  bool cache_hit = false;
-  double build_us = 0;
-  BuiltKernel* built_slot;
-  if (metrics_on) {
-    hplrepro::Stopwatch build_watch;
-    built_slot = &rt.build_for(cached, dev, &cache_hit);
-    if (!cache_hit) build_us = build_watch.seconds() * 1e6;
-  } else {
-    built_slot = &rt.build_for(cached, dev, &cache_hit);
-  }
-  BuiltKernel& built = *built_slot;
-
-  std::vector<BoundArray> arrays;
-  TransferCapture transfer_capture;
-  double marshal_us = 0;
-  clsim::Event event;
-  {
-    std::lock_guard<std::mutex> launch_lock(*built.launch_mutex);
-    {
-      hplrepro::trace::Span span("marshal", "hpl");
-      std::optional<hplrepro::Stopwatch> watch;
-      if (metrics_on) watch.emplace();
-      span.arg("kernel", cached.name);
-      for (std::size_t i = 0; i < node.args.size(); ++i) {
-        const NodeArg& a = node.args[i];
-        const unsigned ui = static_cast<unsigned>(i);
-        if (a.impl != nullptr) {
-          const ParamAccess access = cached.params[i].access;
-          if (access.read) rt.ensure_on_device(*a.impl, dev);
-          auto& copy = rt.device_copy(*a.impl, dev);
-          built.kernel->set_arg(ui, *copy.buffer);
-          arrays.push_back({a.impl, access.written, a.ndim, &copy});
-        } else {
-          switch (a.scalar.kind) {
-            case ScalarValue::Kind::F32:
-              built.kernel->set_arg(ui, static_cast<float>(a.scalar.f));
-              break;
-            case ScalarValue::Kind::F64:
-              built.kernel->set_arg(ui, a.scalar.f);
-              break;
-            case ScalarValue::Kind::I64:
-              built.kernel->set_arg(ui, a.scalar.i);
-              break;
-            case ScalarValue::Kind::U64:
-              built.kernel->set_arg(ui, a.scalar.u);
-              break;
-          }
-        }
-      }
-      if (watch.has_value()) marshal_us = watch->seconds() * 1e6;
-    }
-
-    // Hidden dimension-size arguments (rank >= 2), in parameter order.
-    unsigned hidden = static_cast<unsigned>(node.args.size());
-    for (const auto& bound : arrays) {
-      for (int d = 1; d < bound.ndim; ++d) {
-        built.kernel->set_arg(
-            hidden++,
-            static_cast<std::uint32_t>(
-                bound.impl->dims[static_cast<std::size_t>(d)]));
-      }
-    }
-
-    // Cross-queue writes into any bound buffer (pending d2d merges) are
-    // not serialized by this queue; carry them in the wait-list.
-    std::vector<clsim::Event> deps;
-    for (const auto& bound : arrays) {
-      for (const auto& e : bound.copy->pending_d2d) {
-        if (!e.complete()) deps.push_back(e);
-      }
-      bound.copy->pending_d2d.clear();
-    }
-
-    hplrepro::trace::Span span("launch", "hpl");
-    try {
-      event = dev.queue->enqueue_ndrange_kernel(*built.kernel, node.global,
-                                                node.local, std::move(deps));
-    } catch (const hplrepro::clc::TrapError&) {
-      // Sync mode surfaces the deferred execution error at the enqueue;
-      // account it exactly like an async failed launch, then rethrow.
-      rt.with_prof([&](ProfileSnapshot& p) { p.kernel_launches += 1; });
-      profiler_record_failed_launch(cached.name, dev.device.name(),
-                                    cache_hit);
-      throw;
-    }
-    if (span.active()) {
-      span.arg("kernel", cached.name)
-          .arg("device", dev.device.name())
-          .arg("cache_hit", static_cast<std::uint64_t>(cache_hit))
-          .arg("opt_report", built.program->opt_report().summary());
-    }
-  }
-
-  for (const auto& bound : arrays) {
-    if (bound.written) rt.mark_device_written(*bound.impl, dev);
-    bound.copy->last_event = event;  // incoming d2d must order after us
-  }
-
-  const double enqueue_us = metrics_on ? hplrepro::trace::now_us() : 0.0;
-  account_launch_settled(rt, event, cached.name, dev.device.name(),
-                         cache_hit, metrics_on, transfer_capture.take(),
-                         node.eval_start_us, enqueue_us, node.capture_us,
-                         node.codegen_us, build_us, marshal_us);
-
-  const double sim_wall =
-      clsim::async_enabled() ? 0.0 : event.wall_seconds();
-  rt.with_prof([&](ProfileSnapshot& p) {
-    p.kernel_launches += 1;
-    p.host_seconds += host_watch.seconds() - sim_wall;
-  });
-  if (metrics_on) {
-    static auto& launches = hplrepro::metrics::counter("hpl.eval.launches");
-    static auto& host_ns = hplrepro::metrics::histogram("hpl.eval.host_ns");
-    launches.add_always(1);
-    const double host_s = host_watch.seconds() - sim_wall;
-    host_ns.record_always(
-        host_s > 0 ? static_cast<std::uint64_t>(host_s * 1e9) : 0);
-  }
 }
 
 void apply_fusion_build_option(bool enabled) { set_fusion_enabled(enabled); }

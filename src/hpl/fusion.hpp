@@ -35,7 +35,8 @@
 /// unfused sequence would. `HPL_NO_FUSION=1`, `-cl-fusion=off` (build
 /// options) or set_fusion_enabled(false) restore the exact eager launch
 /// sequence: the same launch_node() path runs either way, fusion merely
-/// decides *when* and on *what* it runs.
+/// decides *when* and on *what* it runs. Co-executed evals launch each of
+/// their chunks through launch_node() too (launch_coexec, launch.cpp).
 
 #include <cstdint>
 #include <optional>
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "clsim/runtime.hpp"
+#include "coexec/coexec.hpp"
 #include "hpl/array_impl.hpp"
 #include "hpl/runtime.hpp"
 
@@ -145,12 +147,31 @@ void record_node(DagNode node);
 /// every eval enqueues and the first error surfaces at the quiesce).
 void flush_dag();
 
+/// One chunk of a co-executed eval (defined in launch.cpp).
+struct ChunkLaunch;
+
 /// Launches one node now: build (per-device cache), bind arguments with
 /// coherence transfers, hidden dim args, enqueue, RangeSet write marks and
-/// completion-side accounting. This is the single launch path — the eager
-/// (fusion-off) eval and the flush both go through it, so profile() and
-/// metrics invariants hold identically in both modes.
-void launch_node(Runtime& rt, DagNode& node);
+/// completion-side accounting; returns the kernel's event. This is the
+/// single launch path — the eager (fusion-off) eval, the flush and every
+/// co-executed chunk go through it, so profile() and metrics invariants
+/// hold identically in all three. With `chunk`, reads of mapped arrays
+/// narrow to the chunk's rows plus halo (when .halo(n) was given), writes
+/// are marked by chunk rows and only the chunk's work-groups run.
+hplrepro::clsim::Event launch_node(Runtime& rt, DagNode& node,
+                                   const ChunkLaunch* chunk = nullptr);
+
+/// Runs `node` split across `devices` (two or more): resolves the local
+/// range, the split dimension and each array's row mapping, then lets the
+/// coexec dispatcher hand work-group chunks to launch_node() under
+/// `policy`. Blocks until every chunk completes. A failed chunk throws
+/// once: the chunks already launched are drained and their queue errors
+/// consumed before the rethrow.
+void launch_coexec(Runtime& rt, DagNode& node,
+                   const std::vector<Device>& devices,
+                   hplrepro::coexec::Policy policy,
+                   std::optional<int> split_dim,
+                   std::optional<std::size_t> halo);
 
 /// Applies the `-cl-fusion` build option (Runtime::set_build_options).
 void apply_fusion_build_option(bool enabled);

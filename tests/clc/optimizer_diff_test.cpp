@@ -281,6 +281,27 @@ __kernel void k(__global uint* out) {
 }
 )CLC",
      64, 64},
+    // Signed 64-bit overflow wraps in two's complement, both when the
+    // optimizer folds it (constants) and when the VMs execute it (data-
+    // dependent values, one of them multiply-add fusion bait).
+    {"int_overflow_wraps", "k", R"CLC(
+__kernel void k(__global uint* out) {
+  size_t gid = get_global_id(0);
+  long g = (long)gid;
+  long lmax = 9223372036854775807L;
+  long lmin = -9223372036854775807L - 1L;
+  long a = lmax + 1L;
+  long b = lmin * -1L;
+  long c = lmin - 1L;
+  long d = (lmax - g) + (g + 1L);
+  long e = (lmin + g) * (-1L - g);
+  long f = -(lmin + (g & 1L));
+  long m = e * 3L + d;
+  out[2u * gid] = (uint)(a ^ b ^ c ^ d);
+  out[2u * gid + 1u] = (uint)((e ^ f ^ m) >> 32) ^ (uint)(e + f + m);
+}
+)CLC",
+     128, 64, 0},
 };
 
 class OptimizerDiffLanguage
@@ -320,6 +341,33 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CorpusKernel>& info) {
       return std::string(info.param.label);
     });
+
+// The four interpreters agreeing is not enough on its own: the overflow
+// kernel's words must be the two's-complement wrap of the host reference.
+TEST(OptimizerDiff, SignedOverflowWrapsToTheHostReference) {
+  const CorpusKernel* ck = nullptr;
+  for (const auto& k : kLanguageCorpus) {
+    if (std::string(k.label) == "int_overflow_wraps") ck = &k;
+  }
+  ASSERT_NE(ck, nullptr);
+  const DiffRun run = run_diff(ck->source, ck->kernel_name, ck->words,
+                               ck->global, ck->local, "-O2");
+  const std::uint64_t lmax = 0x7FFFFFFFFFFFFFFFull;
+  const std::uint64_t lmin = 0x8000000000000000ull;
+  for (std::uint64_t g = 0; g < ck->global; ++g) {
+    const std::uint64_t a = lmax + 1, b = lmin * ~0ull, c = lmin - 1;
+    const std::uint64_t d = (lmax - g) + (g + 1);
+    const std::uint64_t e = (lmin + g) * (~0ull - g);
+    const std::uint64_t f = 0 - (lmin + (g & 1));
+    const std::uint64_t m = e * 3 + d;
+    EXPECT_EQ(run.words[2 * g], static_cast<std::uint32_t>(a ^ b ^ c ^ d))
+        << g;
+    EXPECT_EQ(run.words[2 * g + 1],
+              static_cast<std::uint32_t>((e ^ f ^ m) >> 32) ^
+                  static_cast<std::uint32_t>(e + f + m))
+        << g;
+  }
+}
 
 // --- Benchsuite corpus -------------------------------------------------------
 

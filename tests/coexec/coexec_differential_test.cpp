@@ -9,21 +9,28 @@
 //    family split across {2,3} simulated devices must be BIT-IDENTICAL to
 //    the single-device run for every policy, and the profile counters must
 //    reconcile exactly with the chunk plan the dispatcher reports.
+//  * CoexecTrap — a chunk that traps surfaces exactly once, in both
+//    pipeline modes, and leaves the runtime usable.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "benchsuite/reduction.hpp"
 #include "benchsuite/stencil.hpp"
 #include "benchsuite/transpose.hpp"
+#include "clc/vm.hpp"
+#include "clsim/runtime.hpp"
 #include "coexec/coexec.hpp"
 #include "hpl/HPL.h"
 #include "support/error.hpp"
 
 namespace bs = hplrepro::benchsuite;
+namespace clsim = hplrepro::clsim;
 namespace coexec = hplrepro::coexec;
 
 namespace {
@@ -355,5 +362,77 @@ TEST_F(CoexecDifferential, SingleEntryDeviceListDegeneratesToPlainEval) {
   EXPECT_EQ(want, got);
   EXPECT_EQ(HPL::profile().kernel_launches, 1u);  // no split happened
 }
+
+// ---------------------------------------------------------------------------
+// Error path: a trapping chunk surfaces once and leaves the runtime usable
+// ---------------------------------------------------------------------------
+
+// Traps at execution time in every group: work-items diverge at a barrier.
+void divergent(HPL::Array<float, 1> data) {
+  using namespace HPL;
+  if_(lidx < 2) { barrier(LOCAL); } endif_
+  data[idx] = 1.0f;
+}
+
+void triple(HPL::Array<float, 1> data) {
+  using namespace HPL;
+  data[idx] = 3.0f * data[idx];
+}
+
+class CoexecTrap
+    : public ::testing::TestWithParam<std::tuple<bool, coexec::Policy>> {
+protected:
+  void TearDown() override { clsim::set_async_enabled(true); }
+};
+
+TEST_P(CoexecTrap, ChunkTrapSurfacesOnceAndRuntimeStaysUsable) {
+  const auto [async, policy] = GetParam();
+  clsim::set_async_enabled(async);
+  HPL::purge_kernel_cache();
+  HPL::reset_profile();
+  constexpr std::size_t n = 64;  // 16 groups of 4
+
+  int traps = 0;
+  {
+    HPL::Array<float, 1> bad(n);
+    try {
+      HPL::eval(divergent).global(n).local(4).devices(device_set(2)).policy(
+          policy)(bad);
+    } catch (const hplrepro::clc::TrapError&) {
+      ++traps;
+    }
+  }
+  EXPECT_EQ(traps, 1) << "the failed eval itself must report the trap";
+  // Every chunk's queue error was consumed with the one report above.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_NO_THROW(HPL::detail::Runtime::get().finish_all()) << i;
+  }
+
+  const auto snap = HPL::profile();
+  EXPECT_GT(snap.kernel_launches, 0u);
+  EXPECT_EQ(snap.kernel_cache_hits + snap.kernel_cache_misses,
+            snap.kernel_launches);
+  std::uint64_t registry_launches = 0;
+  for (const auto& k : HPL::kernel_profiles()) registry_launches += k.launches;
+  EXPECT_EQ(registry_launches, snap.kernel_launches);
+
+  HPL::Array<float, 1> data(n);
+  for (std::size_t i = 0; i < n; ++i) data(i) = static_cast<float>(i) + 0.5f;
+  HPL::eval(triple).devices(device_set(2)).policy(policy)(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(data(i), 3.0f * (static_cast<float>(i) + 0.5f)) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SyncAsyncByPolicy, CoexecTrap,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(coexec::Policy::Static,
+                                         coexec::Policy::Guided)),
+    [](const ::testing::TestParamInfo<CoexecTrap::ParamType>& info) {
+      return std::string(std::get<0>(info.param) ? "Async" : "Sync") +
+             (std::get<1>(info.param) == coexec::Policy::Static ? "Static"
+                                                                : "Guided");
+    });
 
 }  // namespace
