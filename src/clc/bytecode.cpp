@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <sstream>
 
 #include "clc/builtins.hpp"
@@ -242,6 +243,10 @@ std::string disassemble_reg(const RegFunction& fn) {
   std::ostringstream oss;
   oss << "regfn (regs=" << fn.num_regs << ", params=" << fn.num_params
       << ", private=" << fn.private_bytes << "B)\n";
+  for (std::size_t k = 0; k < fn.consts.size(); ++k) {
+    oss << " const r" << fn.const_base() + k << " = " << fn.consts[k].i64
+        << '\n';
+  }
   for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
     const RegBlock& blk = fn.blocks[b];
     oss << " block " << b << " @" << blk.start << " (fuel=" << blk.fuel
@@ -271,6 +276,24 @@ bool is_terminator_op(Op op) {
          op == Op::BarrierOp;
 }
 bool in_range(Op op, Op lo, Op hi) { return op >= lo && op <= hi; }
+
+/// True for register ops whose only effect is writing `dst` from their
+/// sources: not Call/BuiltinFn (`dst` also names the argument window),
+/// stores (no `dst`) or terminators (`dst` is a block id or unused).
+bool writes_dst_only(RegOp op) {
+  switch (op) {
+    case RegOp::Call: case RegOp::BuiltinFn:
+    case RegOp::Br: case RegOp::BrIf: case RegOp::Ret: case RegOp::RetVoid:
+    case RegOp::Barrier:
+    case RegOp::StoreI8: case RegOp::StoreI16: case RegOp::StoreI32:
+    case RegOp::StoreI64: case RegOp::StoreF32: case RegOp::StoreF64:
+    case RegOp::SIdxI8: case RegOp::SIdxI16: case RegOp::SIdxI32:
+    case RegOp::SIdxI64: case RegOp::SIdxF32: case RegOp::SIdxF64:
+      return false;
+    default:
+      return true;
+  }
+}
 
 /// Net operand-stack effect of one stack instruction: values popped and
 /// pushed. Mirrors the VM's semantics op by op.
@@ -402,8 +425,8 @@ public:
     out_.num_params = static_cast<std::uint16_t>(fn_.params.size());
     out_.private_bytes = fn_.private_bytes;
     emit_blocks();
-    const std::size_t num_regs =
-        static_cast<std::size_t>(num_slots_) + max_depth_ + 1;
+    const std::size_t num_regs = static_cast<std::size_t>(num_slots_) +
+                                 max_depth_ + 1 + out_.consts.size();
     if (num_regs > 0xFFFF) fail("function needs too many registers");
     out_.num_regs = static_cast<std::uint16_t>(num_regs);
     return std::move(out_);
@@ -520,12 +543,15 @@ private:
   // --- Emission -------------------------------------------------------------
   //
   // During emission the abstract operand stack is a vector of register
-  // descriptors, one per stack position p. Invariant: st_[p] is either a
-  // slot register (< num_slots: position p aliases that slot, saving the
-  // LoadSlot copy) or position p's own "home" register (num_slots + p).
-  // Home registers are positional, so materializing the stack (before
-  // branches/calls) only ever copies slot registers into home registers —
-  // no parallel-copy cycles can arise.
+  // descriptors, one per stack position p. Invariant: st_[p] is either an
+  // alias — a slot register (< num_slots: position p aliases that slot,
+  // saving the LoadSlot copy) or a constant-pool register (> scratch():
+  // position p holds a literal, saving the materializing copy) — or
+  // position p's own "home" register (num_slots + p). Home registers are
+  // positional, so materializing the stack (before branches/calls) only
+  // ever copies aliases into home registers — no parallel-copy cycles can
+  // arise. Pool registers are never written, so an alias to one stays
+  // valid until its position is popped.
 
   std::uint16_t home(int pos) const {
     return static_cast<std::uint16_t>(num_slots_ + pos);
@@ -533,8 +559,34 @@ private:
   std::uint16_t scratch() const {
     return static_cast<std::uint16_t>(num_slots_ + max_depth_);
   }
-  bool is_slot_reg(std::uint16_t r) const {
-    return r < static_cast<std::uint16_t>(num_slots_);
+  bool is_alias(std::uint16_t r) const {
+    return r < static_cast<std::uint16_t>(num_slots_) || r > scratch();
+  }
+
+  /// Pushes an alias of the pool register holding `bits`, adding it to the
+  /// pool on first use.
+  void push_const(std::int64_t bits) {
+    auto [it, added] = const_regs_.try_emplace(
+        bits, static_cast<std::uint16_t>(scratch() + 1 + out_.consts.size()));
+    if (added) {
+      Value v{};
+      v.i64 = bits;
+      out_.consts.push_back(v);
+    }
+    st_.push_back(it->second);
+  }
+
+  /// Store retargeting: StoreSlot of a value the block's last instruction
+  /// just computed into a home register rewrites that instruction to write
+  /// the slot directly, saving the Mov. Every retargetable instruction
+  /// reads its sources before writing `dst`, so `x = x + 1` stays correct.
+  /// The caller guarantees no stack position aliases the slot any more.
+  bool retarget_store(std::uint16_t src, std::uint16_t slot) {
+    if (is_alias(src) || out_.code.size() <= block_code_start_) return false;
+    RegInstr& last = out_.code.back();
+    if (last.dst != src || !writes_dst_only(last.op)) return false;
+    last.dst = slot;
+    return true;
   }
 
   void emit(RegOp op, std::uint16_t dst = 0, std::uint16_t a = 0,
@@ -599,6 +651,7 @@ private:
 
   void emit_block(int b, RegBlock& blk) {
     st_.clear();
+    block_code_start_ = out_.code.size();
     for (int p = 0; p < depth_in_[static_cast<std::size_t>(b)]; ++p) {
       st_.push_back(home(p));
     }
@@ -653,35 +706,19 @@ private:
       case Op::Nop:
         return false;
 
-      case Op::PushI: {
-        const std::uint16_t dst = home(depth());
-        emit(RegOp::Const, dst, 0, 0, 0, 0, in.imm);
-        st_.push_back(dst);
+      case Op::PushI:
+      case Op::PushD:
+        push_const(in.imm);
         return false;
-      }
-      case Op::PushF: {
+      case Op::PushF:
         // Low 32 bits are the float's bits; upper bytes zero (never read).
-        const std::uint16_t dst = home(depth());
-        emit(RegOp::Const, dst, 0, 0, 0, 0,
-             static_cast<std::int64_t>(
-                 static_cast<std::uint64_t>(static_cast<std::uint32_t>(in.imm))));
-        st_.push_back(dst);
+        push_const(static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(static_cast<std::uint32_t>(in.imm))));
         return false;
-      }
-      case Op::PushD: {
-        const std::uint16_t dst = home(depth());
-        emit(RegOp::Const, dst, 0, 0, 0, 0, in.imm);
-        st_.push_back(dst);
+      case Op::LocalPtr:
+        push_const(static_cast<std::int64_t>(make_pointer(
+            PtrSpace::Local, 0, static_cast<std::uint64_t>(in.imm))));
         return false;
-      }
-      case Op::LocalPtr: {
-        const std::uint16_t dst = home(depth());
-        emit(RegOp::Const, dst, 0, 0, 0, 0,
-             static_cast<std::int64_t>(make_pointer(
-                 PtrSpace::Local, 0, static_cast<std::uint64_t>(in.imm))));
-        st_.push_back(dst);
-        return false;
-      }
       case Op::PrivatePtr: {
         const std::uint16_t dst = home(depth());
         emit(RegOp::PrivPtr, dst, 0, 0, 0, 0, in.imm);
@@ -691,8 +728,8 @@ private:
 
       case Op::Dup: {
         const std::uint16_t src = st_.back();
-        if (is_slot_reg(src)) {
-          st_.push_back(src);  // both positions alias the slot
+        if (is_alias(src)) {
+          st_.push_back(src);  // both positions alias the slot/constant
         } else {
           const std::uint16_t dst = home(depth());
           mov(dst, src);
@@ -707,8 +744,8 @@ private:
         const int d = depth();
         std::uint16_t& x = st_[static_cast<std::size_t>(d) - 2];
         std::uint16_t& y = st_[static_cast<std::size_t>(d) - 1];
-        const bool x_home = !is_slot_reg(x);
-        const bool y_home = !is_slot_reg(y);
+        const bool x_home = !is_alias(x);
+        const bool y_home = !is_alias(y);
         if (x_home && y_home) {
           mov(scratch(), x);
           mov(x, y);
@@ -724,7 +761,7 @@ private:
           x = home(d - 2);
           y = old_x;
         } else {
-          std::swap(x, y);  // both are slot aliases: pure renaming
+          std::swap(x, y);  // both are aliases: pure renaming
         }
         return false;
       }
@@ -737,13 +774,15 @@ private:
         const std::uint16_t slot = static_cast<std::uint16_t>(in.a);
         const std::uint16_t src = pop_src();
         // Positions still aliasing this slot keep its current value.
+        bool aliased = false;
         for (int p = 0; p < depth(); ++p) {
           if (st_[static_cast<std::size_t>(p)] == slot) {
             mov(home(p), slot);
             st_[static_cast<std::size_t>(p)] = home(p);
+            aliased = true;
           }
         }
-        mov(slot, src);
+        if (aliased || !retarget_store(src, slot)) mov(slot, src);
         return false;
       }
 
@@ -907,6 +946,8 @@ private:
   std::vector<std::size_t> block_starts_;
   std::vector<int> depth_in_;
   std::vector<std::uint16_t> st_;
+  std::map<std::int64_t, std::uint16_t> const_regs_;  // bits -> pool register
+  std::size_t block_code_start_ = 0;  // first out_.code index of this block
   int num_blocks_ = 0;
   int exit_block_ = 0;
   int num_slots_ = 0;

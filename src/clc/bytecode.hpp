@@ -181,16 +181,18 @@ struct CompiledFunction {
 // a register-coded form: a stack-simulation pass maps each operand-stack
 // position to a virtual register (registers 0..num_slots-1 double as the
 // function's slots, so LoadSlot/StoreSlot mostly disappear into register
-// renaming), and control flow becomes explicit basic blocks. The register
-// interpreter (RegItemVM, vm.hpp) executes this form with direct-threaded
-// dispatch and accounts ExecStats once per block entry from the histograms
-// precomputed here — by construction those histograms sum to exactly what
-// the stack interpreter would have counted per instruction.
+// renaming; literal constants live in a per-function constant pool of
+// registers no instruction writes), and control flow becomes explicit
+// basic blocks. The register interpreter (RegItemVM, vm.hpp) executes
+// this form with direct-threaded dispatch and accounts ExecStats once per
+// block entry from the histograms precomputed here — by construction those
+// histograms sum to exactly what the stack interpreter would have counted
+// per instruction.
 
 // X-macro over the register opcodes; keeps the computed-goto label table in
 // vm.cpp in enum order by construction.
 #define HPLREPRO_REG_OPS(X)                                                   \
-  X(Const) X(Mov) X(PrivPtr) X(PtrAdd)                                        \
+  X(Mov) X(PrivPtr) X(PtrAdd)                                                 \
   X(LoadI8) X(LoadU8) X(LoadI16) X(LoadU16) X(LoadI32) X(LoadU32)             \
   X(LoadI64) X(LoadF32) X(LoadF64)                                            \
   X(StoreI8) X(StoreI16) X(StoreI32) X(StoreI64) X(StoreF32) X(StoreF64)      \
@@ -228,10 +230,10 @@ const char* reg_op_name(RegOp op);
 ///   aux       block id (Br, BrIf's zero path, Barrier's resume point),
 ///             callee index (Call), builtin id (WorkItem/BuiltinFn),
 ///             pc_key (memory ops), operand order (Mad)
-///   imm       64-bit immediate (Const: the Value bits; PtrAdd/LIdx/SIdx:
+///   imm       64-bit immediate (PrivPtr: arena offset; PtrAdd/LIdx/SIdx:
 ///             element size)
 struct RegInstr {
-  RegOp op = RegOp::Const;
+  RegOp op = RegOp::Mov;
   std::uint16_t dst = 0;
   std::uint16_t a = 0;
   std::uint16_t b = 0;
@@ -258,13 +260,23 @@ struct RegBlock {
 };
 
 /// Register-coded form of one CompiledFunction. Registers 0..num_params-1
-/// hold the arguments on entry; the remaining registers are zeroed.
+/// hold the arguments on entry and the last consts.size() registers the
+/// constant pool; the remaining registers are zeroed. No instruction
+/// writes a pool register, so the VMs install the pool once per frame.
 struct RegFunction {
   std::uint16_t num_regs = 0;
   std::uint16_t num_params = 0;
   std::uint64_t private_bytes = 0;
   std::vector<RegInstr> code;
   std::vector<RegBlock> blocks;
+  /// Constant pool: the literals and __local addresses the code reads,
+  /// deduplicated by bit pattern, held in registers
+  /// const_base()..num_regs-1.
+  std::vector<Value> consts;
+
+  std::uint16_t const_base() const {
+    return static_cast<std::uint16_t>(num_regs - consts.size());
+  }
 };
 
 /// Work-group compilation metadata for one kernel (pocl-style work-item
@@ -283,9 +295,9 @@ struct WgInfo {
   /// Sorted union of the item-varying registers live at any region entry
   /// (block 0 and every barrier resume block). Only these get per-item
   /// spill slots; everything else lives in the shared file. Registers
-  /// never written by any instruction (kernel arguments and
-  /// never-assigned zeros) are uniform across the group — they are
-  /// installed once per group and excluded from all spill traffic. A
+  /// never written by any instruction (kernel arguments, the constant
+  /// pool and never-assigned zeros) are uniform across the group — they
+  /// are installed once per group and excluded from all spill traffic. A
   /// register's position in this vector is its spill column.
   std::vector<std::uint16_t> live_regs;
   /// Per-block index into `entry_lists`/`save_lists`, -1 for blocks that

@@ -30,6 +30,14 @@ const OpClassTable kOpClass;
 // checked_trunc_i64 / checked_trunc_u64 live in fold.hpp so the optimizer
 // folds float->int conversions with exactly the VM's semantics.
 
+// Integer abs() negates through uint64_t like NegI, so abs(LONG_MIN) wraps
+// to LONG_MIN's bits (2^63 as the ulong OpenCL returns) instead of
+// overflowing.
+std::uint64_t abs_wrapping(std::int64_t v) {
+  const auto bits = static_cast<std::uint64_t>(v);
+  return v < 0 ? 0 - bits : bits;
+}
+
 double apply_math_builtin_d(Builtin id, const double* a) {
   switch (id) {
     case Builtin::Sqrt: return std::sqrt(a[0]);
@@ -501,7 +509,7 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
             switch (id) {
               case Builtin::Min: v.i64 = a[0] < a[1] ? a[0] : a[1]; break;
               case Builtin::Max: v.i64 = a[0] > a[1] ? a[0] : a[1]; break;
-              case Builtin::Abs: v.i64 = a[0] < 0 ? -a[0] : a[0]; break;
+              case Builtin::Abs: v.u64 = abs_wrapping(a[0]); break;
               case Builtin::Clamp:
                 v.i64 = a[0] < a[1] ? a[1] : (a[0] > a[2] ? a[2] : a[0]);
                 break;
@@ -671,6 +679,8 @@ void RegItemVM::reset(const Module& module, const CompiledFunction& kernel,
   frames_.push_back(RegFrame{&fn, 0, kRegNoRet, 0, 0});
   regs_.assign(fn.num_regs, Value{});
   for (std::size_t i = 0; i < args.size(); ++i) regs_[i] = args[i];
+  std::copy(fn.consts.begin(), fn.consts.end(),
+            regs_.begin() + fn.const_base());
   private_arena_.assign(fn.private_bytes, std::byte{0});
   barrier_flags_ = 0;
   pending_block_ = 0;
@@ -858,9 +868,6 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
     ++pc;
     switch (in->op) {
 #endif
-
-  VM_CASE(Const) { R[in->dst].i64 = in->imm; }
-  VM_NEXT
 
   VM_CASE(Mov) { R[in->dst] = R[in->a]; }
   VM_NEXT
@@ -1088,6 +1095,8 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
     for (std::size_t i = 0; i < callee.num_params; ++i) {
       vm.regs_[next.base + i] = vm.regs_[abase + i];
     }
+    std::copy(callee.consts.begin(), callee.consts.end(),
+              vm.regs_.begin() + next.base + callee.const_base());
     if (priv->size() < next.priv_base + callee.private_bytes) {
       priv->resize(next.priv_base + callee.private_bytes);
     }
@@ -1230,7 +1239,9 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
         switch (id) {
           case Builtin::Min: v = a[0] < a[1] ? a[0] : a[1]; break;
           case Builtin::Max: v = a[0] > a[1] ? a[0] : a[1]; break;
-          case Builtin::Abs: v = a[0] < 0 ? -a[0] : a[0]; break;
+          case Builtin::Abs:
+            v = static_cast<std::int64_t>(abs_wrapping(a[0]));
+            break;
           case Builtin::Clamp:
             v = a[0] < a[1] ? a[1] : (a[0] > a[2] ? a[2] : a[0]);
             break;
@@ -1348,11 +1359,14 @@ void WorkGroupVM::run_group(const MemoryEnv& mem, const LaunchInfo& launch,
   regs_.assign(fn.num_regs, Value{});
   // Uniform registers — the ones no instruction writes — keep these values
   // for every item of the group: arguments in the parameter registers,
-  // zeros elsewhere. Item-varying parameters are re-restored per item from
-  // the spill-row argument image, which is harmless.
+  // the constant pool in its registers, zeros elsewhere. Item-varying
+  // parameters are re-restored per item from the spill-row argument image,
+  // which is harmless.
   const std::size_t nparams =
       std::min<std::size_t>(fn.num_params, args_.size());
   for (std::size_t r = 0; r < nparams; ++r) regs_[r] = args_[r];
+  std::copy(fn.consts.begin(), fn.consts.end(),
+            regs_.begin() + fn.const_base());
 
   // Spill rows need no initialization: pending block 0 restores from the
   // argument image, and every later restore reads columns its barrier save

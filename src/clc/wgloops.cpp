@@ -20,8 +20,7 @@ bool op_between(RegOp op, RegOp lo, RegOp hi) {
 template <class UseFn>
 void for_each_use(const Module& module, const RegInstr& in, UseFn use) {
   const RegOp op = in.op;
-  if (op == RegOp::Const || op == RegOp::PrivPtr || op == RegOp::Br ||
-      op == RegOp::RetVoid) {
+  if (op == RegOp::PrivPtr || op == RegOp::Br || op == RegOp::RetVoid) {
     return;
   }
   if (op == RegOp::Mov || op == RegOp::WorkItem || op == RegOp::BrIf ||
@@ -65,8 +64,8 @@ void for_each_use(const Module& module, const RegInstr& in, UseFn use) {
 /// The register the instruction writes, or -1.
 int def_reg(const RegInstr& in) {
   const RegOp op = in.op;
-  if (op == RegOp::Const || op == RegOp::Mov || op == RegOp::PrivPtr ||
-      op == RegOp::PtrAdd || op == RegOp::WorkItem ||
+  if (op == RegOp::Mov || op == RegOp::PrivPtr || op == RegOp::PtrAdd ||
+      op == RegOp::WorkItem ||
       op == RegOp::BuiltinFn ||
       op_between(op, RegOp::LoadI8, RegOp::LoadF64) ||
       op_between(op, RegOp::LIdxI8, RegOp::LIdxF64) ||
@@ -256,8 +255,8 @@ WgInfo analyze_kernel(const Module& module, std::size_t index) {
 
   // Registers no instruction ever writes hold the same value for every
   // item all launch long — kernel arguments (parameters occupy registers
-  // 0..num_params-1) and never-assigned zeros. The VM installs them once
-  // per group; they need no spill slots.
+  // 0..num_params-1), the constant pool and never-assigned zeros. The VM
+  // installs them once per group; they need no spill slots.
   RegSet uniform(nregs);
   for (std::size_t r = 0; r < nregs; ++r) uniform.set(r);
   for (const RegInstr& in : fn.code) {

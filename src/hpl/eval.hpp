@@ -248,7 +248,7 @@ private:
         capture_us = watch.seconds() * 1e6;
       }
       CachedKernel fresh;
-      fresh.name = rt.next_kernel_name();
+      fresh.name = rt.kernel_name(key);
       fresh.params = builder.params();
       // Kept for the fusion rewriter (fusion.cpp), which splices captured
       // bodies into synthesized kernels.

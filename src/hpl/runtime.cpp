@@ -272,9 +272,11 @@ BuiltKernel& Runtime::build_for(CachedKernel& cached, DeviceEntry& dev,
   return cached.built[key] = std::move(built);
 }
 
-std::string Runtime::next_kernel_name() {
+std::string Runtime::kernel_name(const void* fn) {
   std::lock_guard<std::mutex> lock(kernel_mutex_);
-  return "hpl_kernel_" + std::to_string(next_kernel_id_++);
+  auto [it, added] = kernel_names_.try_emplace(fn);
+  if (added) it->second = "hpl_kernel_" + std::to_string(next_kernel_id_++);
+  return it->second;
 }
 
 // --- Coherence ------------------------------------------------------------------

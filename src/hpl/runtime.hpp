@@ -244,8 +244,11 @@ public:
   /// rethrows the first deferred execution error, if any.
   void finish_all();
 
-  /// Generates a fresh kernel name.
-  std::string next_kernel_name();
+  /// The generated name of the kernel captured from `fn`: a fresh
+  /// `hpl_kernel_<N>` on first sight, the same name again when the kernel
+  /// is re-captured after purge_kernel_cache(), so per-kernel records
+  /// (the profiler registry) keep one row per kernel.
+  std::string kernel_name(const void* fn);
 
   void clear_kernel_cache();
 
@@ -266,12 +269,14 @@ private:
                     ArrayImpl::DeviceCopy& copy, ByteRange range);
 
   std::vector<DeviceEntry> devices_;
-  /// Guards kernel_cache_, next_kernel_id_ and build_options_ (concurrent
-  /// eval()s race on all three). Lock order: kernel_mutex_ before
+  /// Guards kernel_cache_, kernel_names_, next_kernel_id_ and
+  /// build_options_ (concurrent eval()s race on all of them). Lock order: kernel_mutex_ before
   /// prof_mutex_; never the reverse.
   std::mutex kernel_mutex_;
   std::map<const void*, CachedKernel> kernel_cache_;
   std::map<std::string, CachedKernel> fused_cache_;
+  /// Survives clear_kernel_cache(): see kernel_name().
+  std::map<const void*, std::string> kernel_names_;
   std::mutex prof_mutex_;
   ProfileSnapshot prof_;
   std::string build_options_;

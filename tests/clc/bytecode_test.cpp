@@ -121,4 +121,45 @@ __kernel void beta(__global int* o) { o[0] = 2; }
   EXPECT_FALSE(result.module.find("helper")->is_kernel);
 }
 
+// The register form keeps literals in a per-function constant pool: one
+// register per distinct bit pattern, never written by any instruction, and
+// listed by the disassembly in place of materializing instructions. Store
+// retargeting: with nothing else on the operand stack holding x,
+// `x = x * 3u` writes the product straight into x's register, so the only
+// copies left read an alias (a slot or a pool constant).
+TEST(Bytecode, RegisterFormPoolsConstantsAndRetargetsStores) {
+  auto result = compile(R"(
+__kernel void k(__global uint* out, uint n) {
+  uint x = (uint)get_global_id(0);
+  for (uint i = 0u; i < n; i++) {
+    x = x * 3u;
+    x = x ^ 1234567u;
+  }
+  out[get_global_id(0)] = x + 1234567u;
+}
+)");
+  ASSERT_TRUE(result.module.has_reg_form());
+  const RegFunction& fn = result.module.reg_functions[0];
+  const std::string text = disassemble_reg(fn);
+  ASSERT_FALSE(fn.consts.empty());
+  EXPECT_EQ(fn.const_base() + fn.consts.size(), fn.num_regs);
+  int big = 0;
+  for (const Value& v : fn.consts) big += v.i64 == 1234567 ? 1 : 0;
+  EXPECT_EQ(big, 1) << "pool entries must be deduplicated";
+  EXPECT_NE(text.find(" = 1234567\n"), std::string::npos) << text;
+
+  const auto slots =
+      static_cast<std::uint16_t>(result.module.functions[0].num_slots);
+  for (const RegInstr& in : fn.code) {
+    if (in.op != RegOp::BrIf) {  // BrIf's dst is a block id
+      EXPECT_LT(in.dst, fn.const_base()) << reg_op_name(in.op) << '\n'
+                                         << text;
+    }
+    if (in.op == RegOp::Mov) {
+      EXPECT_TRUE(in.a < slots || in.a >= fn.const_base())
+          << "copy from home register " << in.a << '\n' << text;
+    }
+  }
+}
+
 }  // namespace

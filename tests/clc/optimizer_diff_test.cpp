@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -302,6 +303,73 @@ __kernel void k(__global uint* out) {
 }
 )CLC",
      128, 64, 0},
+    // Integer abs() of LONG_MIN negates through the u64 view in both VMs
+    // (OpenCL's abs(long) returns the ulong 2^63); the neighbours and the
+    // 32-bit case pin the ordinary paths.
+    {"abs_long_min", "k", R"CLC(
+__kernel void k(__global uint* out) {
+  size_t gid = get_global_id(0);
+  long lmin = -9223372036854775807L - 1L;
+  ulong a = abs(lmin + (long)(gid & 3u));
+  ulong b = abs(-(long)gid);
+  int c = abs((int)gid - 32);
+  out[3u * gid] = (uint)(a >> 32) ^ (uint)a;
+  out[3u * gid + 1u] = (uint)b;
+  out[3u * gid + 2u] = (uint)c;
+}
+)CLC",
+     192, 64, 0},
+    // `x = x + 1` while a copy of x is still on the operand stack (the
+    // post-increment inside an index, `a[i++] = v`): the register lowering
+    // must copy the old value out before the slot is rewritten, and may
+    // only retarget the add into the slot when nothing aliases it.
+    {"store_while_aliased", "k", R"CLC(
+__kernel void k(__global uint* out) {
+  size_t gid = get_global_id(0);
+  uint o = (uint)gid * 4u;
+  uint i = (uint)gid;
+  out[o++] = i;
+  uint old = i++;
+  out[o++] = old + i;
+  i = i + 1u;
+  out[o++] = i;
+  out[o] = o;
+}
+)CLC",
+     256, 64, 0},
+    // Constants duplicated and swapped on the operand stack: `a = b = 5u`
+    // duplicates a literal, a post-increment of a __local element swaps
+    // the stored value with a constant pointer, and a compound assignment
+    // duplicates one.
+    {"const_alias_shuffles", "k", R"CLC(
+__kernel void k(__global uint* out) {
+  __local uint tile[8];
+  size_t lid = get_local_id(0);
+  uint a, b;
+  a = b = 5u;
+  if (lid == 0u) { tile[0] = 1u; tile[1] = 2u; }
+  barrier(CLK_LOCAL_MEM_FENCE);
+  if (lid == 0u) { uint t = tile[1]++; tile[0] += t; }
+  barrier(CLK_LOCAL_MEM_FENCE);
+  out[get_global_id(0)] = a + b + tile[0] + tile[1] + (uint)lid;
+}
+)CLC",
+     64, 64, 8},
+    // A helper with its own constants called from a loop: every Call frame
+    // gets the callee's constant pool installed after the arguments.
+    {"const_helper_in_loop", "k", R"CLC(
+uint mix(uint v, uint i) {
+  float f = (float)(v & 255u) * 0.5f + 3.25f;
+  return (v * 2654435761u) ^ (i + 40503u) ^ (uint)f;
+}
+__kernel void k(__global uint* out) {
+  size_t gid = get_global_id(0);
+  uint h = (uint)gid;
+  for (uint i = 0u; i < 8u; i++) h = mix(h, i) + 7u;
+  out[gid] = h + mix(3u, 9u);
+}
+)CLC",
+     64, 64, 0},
 };
 
 class OptimizerDiffLanguage
@@ -342,14 +410,17 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.label);
     });
 
+const CorpusKernel& language_kernel(const std::string& label) {
+  for (const auto& k : kLanguageCorpus) {
+    if (label == k.label) return k;
+  }
+  throw std::runtime_error("no corpus kernel " + label);
+}
+
 // The four interpreters agreeing is not enough on its own: the overflow
 // kernel's words must be the two's-complement wrap of the host reference.
 TEST(OptimizerDiff, SignedOverflowWrapsToTheHostReference) {
-  const CorpusKernel* ck = nullptr;
-  for (const auto& k : kLanguageCorpus) {
-    if (std::string(k.label) == "int_overflow_wraps") ck = &k;
-  }
-  ASSERT_NE(ck, nullptr);
+  const CorpusKernel* ck = &language_kernel("int_overflow_wraps");
   const DiffRun run = run_diff(ck->source, ck->kernel_name, ck->words,
                                ck->global, ck->local, "-O2");
   const std::uint64_t lmax = 0x7FFFFFFFFFFFFFFFull;
@@ -366,6 +437,28 @@ TEST(OptimizerDiff, SignedOverflowWrapsToTheHostReference) {
               static_cast<std::uint32_t>((e ^ f ^ m) >> 32) ^
                   static_cast<std::uint32_t>(e + f + m))
         << g;
+  }
+}
+
+// abs(LONG_MIN) is 2^63 as a ulong, the u64 negation the VMs perform; the
+// host reference computes it the same defined way.
+TEST(OptimizerDiff, IntegerAbsMatchesTheHostReference) {
+  const CorpusKernel& ck = language_kernel("abs_long_min");
+  for (const char* options : {"-O2 -cl-interp=stack", "-O2"}) {
+    const DiffRun run = run_diff(ck.source, ck.kernel_name, ck.words,
+                                 ck.global, ck.local, options);
+    for (std::uint64_t g = 0; g < ck.global; ++g) {
+      const std::uint64_t a = 0 - (0x8000000000000000ull + (g & 3));
+      const std::int64_t c = static_cast<std::int64_t>(g) - 32;
+      EXPECT_EQ(run.words[3 * g], static_cast<std::uint32_t>(a >> 32) ^
+                                      static_cast<std::uint32_t>(a))
+          << options << " item " << g;
+      EXPECT_EQ(run.words[3 * g + 1], static_cast<std::uint32_t>(g))
+          << options << " item " << g;
+      EXPECT_EQ(run.words[3 * g + 2],
+                static_cast<std::uint32_t>(c < 0 ? -c : c))
+          << options << " item " << g;
+    }
   }
 }
 

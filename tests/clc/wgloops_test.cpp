@@ -87,8 +87,9 @@ __kernel void k(__global uint* out) {
 }
 
 // Registers no instruction ever writes — the launch arguments in the
-// parameter registers — are group-uniform: the VM installs them once per
-// group, so the analysis must keep them out of the per-item spill set.
+// parameter registers and the constant pool — are group-uniform: the VM
+// installs them once per group, so the analysis must keep them out of the
+// per-item spill set.
 TEST(WgLoops, UniformArgumentsStayOutOfSpillSet) {
   const clc::Module m = compile_with(kTwoRegionKernel, "-O2");
   const clc::CompiledFunction* fn = m.find("k");
@@ -103,6 +104,18 @@ TEST(WgLoops, UniformArgumentsStayOutOfSpillSet) {
   for (std::uint16_t r : info.live_regs) {
     EXPECT_GE(r, rf.num_params) << "uniform parameter register " << r
                                 << " in spill set";
+  }
+  // The constant pool is uniform too: no instruction writes a pool
+  // register, so none may be spilled.
+  ASSERT_FALSE(rf.consts.empty());
+  for (const clc::RegInstr& in : rf.code) {
+    if (in.op == clc::RegOp::BrIf) continue;  // dst is a block id
+    EXPECT_LT(in.dst, rf.const_base())
+        << clc::reg_op_name(in.op) << " writes pool register " << in.dst;
+  }
+  for (std::uint16_t r : info.live_regs) {
+    EXPECT_LT(r, rf.const_base()) << "pool register " << r
+                                  << " in spill set";
   }
 }
 

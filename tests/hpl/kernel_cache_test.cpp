@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hpl/HPL.h"
 
 using namespace HPL;
@@ -106,6 +108,35 @@ TEST_F(KernelCacheTest, ProfilerRegistryTracksLaunchesAndHits) {
   EXPECT_EQ(kernels[0].cache_hits, 2u);
   EXPECT_EQ(kernels[0].builds, 1u);
   EXPECT_GT(kernels[0].sim.total_s, 0.0);
+}
+
+// A kernel re-captured after a purge gets its old generated name back, so
+// the profiler registry keeps one row per (kernel, device) instead of
+// growing by one row per purge.
+TEST_F(KernelCacheTest, PurgedKernelsKeepTheirNamesAndProfilerRows) {
+  Array<float, 1> x(64), y(64);
+  for (int round = 0; round < 50; ++round) {
+    purge_kernel_cache();
+    eval(saxpy)(y, x, 1.0f);
+    eval(scale)(x, 2.0f);
+  }
+  const auto kernels = kernel_profiles();
+  ASSERT_EQ(kernels.size(), 2u);
+  for (const auto& k : kernels) {
+    EXPECT_EQ(k.kernel.rfind("hpl_kernel_", 0), 0u) << k.kernel;
+    EXPECT_EQ(k.launches, 50u) << k.kernel;
+    EXPECT_EQ(k.builds, 50u) << k.kernel;
+  }
+  EXPECT_NE(kernels[0].kernel, kernels[1].kernel);
+  const std::string report = profiler_report();
+  for (const auto& k : kernels) {
+    std::size_t rows = 0;
+    for (std::size_t at = report.find(k.kernel); at != std::string::npos;
+         at = report.find(k.kernel, at + 1)) {
+      ++rows;
+    }
+    EXPECT_EQ(rows, 1u) << k.kernel << "\n" << report;
+  }
 }
 
 TEST_F(KernelCacheTest, UnchangedBuildOptionsKeepTheCacheWarm) {
