@@ -51,7 +51,7 @@ inline void print_header(const std::string& title,
 /// Collects named rows of named numeric metrics and, when the binary was
 /// invoked with `--json <path>`, writes them as a BENCH_*.json-style
 /// results file on destruction. Alongside the per-row metrics it embeds
-/// the final ProfileSnapshot and the per-kernel profiler registry, so a
+/// the final ProfileSnapshot and the per-kernel ledger rows, so a
 /// single run yields the per-phase decomposition machine-readably.
 ///
 /// Every binary using it also understands `--metrics <path>`: the

@@ -35,6 +35,7 @@
 #include "hpl/codegen.hpp"
 #include "hpl/fusion.hpp"
 #include "hpl/runtime.hpp"
+#include "hpl/trace.hpp"
 #include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
 #include "support/trace.hpp"
@@ -203,9 +204,7 @@ private:
     // Front-end overhead (capture/codegen/marshal of the record) counts
     // as eval host time in every mode; launch_node accounts its own
     // window per launch, so the two sum to the full per-launch overhead.
-    rt.with_prof([&](ProfileSnapshot& p) {
-      p.host_seconds += host_watch.seconds();
-    });
+    detail::ledger_host_seconds(host_watch.seconds());
 
     if (coexec) {
       // Split across the devices; every chunk launches through

@@ -82,31 +82,23 @@ ByteRange chunk_row_range(const ArrayImpl& impl, SplitMap map,
 }
 
 /// Completion-side accounting for one launch (or one co-execution chunk):
-/// simulated seconds, the per-kernel profiler registry, and — when metrics
-/// were on at enqueue — the latency histogram and critical-path record,
-/// so the metrics invariants (launches == latency count == critical-path
-/// evals) hold launch-for-launch.
-void account_launch_settled(Runtime& rt, clsim::Event& event,
-                            const std::string& name,
+/// its ledger record, and — when metrics were on at enqueue — the latency
+/// histogram and critical-path record, so the metrics invariants
+/// (launches == latency count == critical-path evals) hold
+/// launch-for-launch.
+void account_launch_settled(clsim::Event& event, const std::string& name,
                             const std::string& dev_name, bool cache_hit,
-                            bool metrics_on,
+                            double host_s, bool metrics_on,
                             std::vector<clsim::Event> transfers,
                             double eval_start_us, double enqueue_us,
                             double capture_us, double codegen_us,
                             double build_us, double marshal_us) {
-  event.on_settled([&rt, name, dev_name, cache_hit, metrics_on,
+  event.on_settled([name, dev_name, cache_hit, host_s, metrics_on,
                     transfers = std::move(transfers), eval_start_us,
                     enqueue_us, capture_us, codegen_us, build_us,
                     marshal_us](const clsim::Event& e, bool failed) {
-    if (failed) {
-      profiler_record_failed_launch(name, dev_name, cache_hit);
-      return;
-    }
-    rt.with_prof([&](ProfileSnapshot& p) {
-      p.kernel_sim_seconds += e.sim_seconds();
-      p.sim_wall_seconds += e.wall_seconds();
-    });
-    profiler_record_launch(name, dev_name, cache_hit, e);
+    ledger_launch(name, dev_name, cache_hit, host_s, failed ? nullptr : &e);
+    if (failed) return;
     // Gated on the *enqueue-time* decision so the launch counter, the
     // latency histogram and the critical-path log always agree even if
     // metrics are toggled while commands are in flight.
@@ -239,9 +231,8 @@ clsim::Event launch_node(Runtime& rt, DagNode& node,
     } catch (const hplrepro::clc::TrapError&) {
       // Sync mode surfaces the deferred execution error at the enqueue;
       // account it exactly like an async failed launch, then rethrow.
-      rt.with_prof([&](ProfileSnapshot& p) { p.kernel_launches += 1; });
-      profiler_record_failed_launch(cached.name, dev.device.name(),
-                                    cache_hit);
+      ledger_launch(cached.name, dev.device.name(), cache_hit,
+                    /*host_seconds=*/0.0, /*event=*/nullptr);
       throw;
     }
     if (span.active()) {
@@ -272,22 +263,21 @@ clsim::Event launch_node(Runtime& rt, DagNode& node,
   }
 
   const double enqueue_us = metrics_on ? hplrepro::trace::now_us() : 0.0;
-  account_launch_settled(rt, event, cached.name, dev.device.name(),
-                         cache_hit, metrics_on, transfer_capture.take(),
-                         node.eval_start_us, enqueue_us, node.capture_us,
-                         node.codegen_us, build_us, marshal_us);
-
   const double sim_wall =
       clsim::async_enabled() ? 0.0 : event.wall_seconds();
   const double host_s = host_watch.seconds() - sim_wall;
-  rt.with_prof([&](ProfileSnapshot& p) {
-    p.kernel_launches += 1;
-    p.host_seconds += host_s;
-  });
+  account_launch_settled(event, cached.name, dev.device.name(), cache_hit,
+                         host_s, metrics_on, transfer_capture.take(),
+                         node.eval_start_us, enqueue_us, node.capture_us,
+                         node.codegen_us, build_us, marshal_us);
   if (metrics_on) {
-    static auto& launches = hplrepro::metrics::counter("hpl.eval.launches");
-    static auto& host_ns = hplrepro::metrics::histogram("hpl.eval.host_ns");
+    namespace metrics = hplrepro::metrics;
+    static auto& launches = metrics::counter("hpl.eval.launches");
+    static auto& hits = metrics::counter("hpl.cache.hit");
+    static auto& misses = metrics::counter("hpl.cache.miss");
+    static auto& host_ns = metrics::histogram("hpl.eval.host_ns");
     launches.add_always(1);
+    (cache_hit ? hits : misses).add_always(1);
     host_ns.record_always(
         host_s > 0 ? static_cast<std::uint64_t>(host_s * 1e9) : 0);
   }

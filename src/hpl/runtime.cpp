@@ -66,13 +66,6 @@ Device Device::cpu_device() {
   return Device(0);
 }
 
-ProfileSnapshot profile() { return detail::Runtime::get().profile_snapshot(); }
-void reset_profile() {
-  detail::Runtime::get().reset_profile_counters();
-  // Keep the per-kernel registry in step with the counters so
-  // profiler_report sums always reconcile with the snapshot.
-  detail::profiler_reset();
-}
 void purge_kernel_cache() { detail::Runtime::get().clear_kernel_cache(); }
 
 void set_kernel_build_options(const std::string& options) {
@@ -118,9 +111,9 @@ Runtime::~Runtime() {
   // Commands may still be pending at process exit (an eval whose result
   // was never read). Deferred DAG nodes launch first (they reference the
   // caches this destructor is about to tear down), then every queue is
-  // drained while prof_mutex_/prof_ and the profiler registry are still
-  // alive, so no completion callback runs during member destruction.
-  // Deferred errors have nowhere to go from a destructor; swallow them.
+  // drained, so every command settles into the ledger (trace.cpp) and no
+  // completion callback runs during member destruction. Deferred errors
+  // have nowhere to go from a destructor; swallow them.
   try {
     detail::flush_dag();
   } catch (...) {
@@ -227,19 +220,6 @@ void Runtime::finish_all() {
   for (auto& dev : devices_) dev.queue->finish();
 }
 
-ProfileSnapshot Runtime::profile_snapshot() {
-  // Quiesce so every pending on_complete counter update has landed.
-  finish_all();
-  std::lock_guard<std::mutex> lock(prof_mutex_);
-  return prof_;
-}
-
-void Runtime::reset_profile_counters() {
-  finish_all();
-  std::lock_guard<std::mutex> lock(prof_mutex_);
-  prof_ = ProfileSnapshot{};
-}
-
 BuiltKernel& Runtime::build_for(CachedKernel& cached, DeviceEntry& dev,
                                 bool* cache_hit) {
   // Held across lookup AND build so a concurrent eval of the same kernel
@@ -249,15 +229,7 @@ BuiltKernel& Runtime::build_for(CachedKernel& cached, DeviceEntry& dev,
   const auto* key = &dev.device.spec();
   auto it = cached.built.find(key);
   if (cache_hit != nullptr) *cache_hit = it != cached.built.end();
-  if (it != cached.built.end()) {
-    with_prof([](ProfileSnapshot& p) { ++p.kernel_cache_hits; });
-    static auto& hit_counter = hplrepro::metrics::counter("hpl.cache.hit");
-    hit_counter.add();
-    return it->second;
-  }
-  with_prof([](ProfileSnapshot& p) { ++p.kernel_cache_misses; });
-  static auto& miss_counter = hplrepro::metrics::counter("hpl.cache.miss");
-  miss_counter.add();
+  if (it != cached.built.end()) return it->second;
 
   hplrepro::trace::Span span("build", "hpl");
   span.arg("kernel", cached.name).arg("device", dev.device.name());
@@ -267,8 +239,7 @@ BuiltKernel& Runtime::build_for(CachedKernel& cached, DeviceEntry& dev,
   built.program->build(build_options_);
   built.kernel =
       std::make_unique<clsim::Kernel>(*built.program, cached.name);
-  with_prof([](ProfileSnapshot& p) { ++p.kernels_built; });
-  profiler_record_build(cached.name, dev.device.name());
+  ledger_build(cached.name, dev.device.name());
   return cached.built[key] = std::move(built);
 }
 
@@ -335,14 +306,8 @@ ArrayImpl::DeviceCopy& Runtime::device_copy(ArrayImpl& impl,
             *old.buffer, impl.host_bytes() + piece.begin, piece.size(),
             /*offset=*/piece.begin, std::move(deps));
         event.wait();  // blocking: the buffer dies when we recreate it
-        const std::size_t nbytes = piece.size();
-        with_prof([&](ProfileSnapshot& p) {
-          p.transfer_sim_seconds += event.sim_seconds();
-          p.sim_wall_seconds += event.wall_seconds();
-          p.bytes_to_host += nbytes;
-        });
-        profiler_record_transfer(dev.device.name(), /*to_device=*/false,
-                                 nbytes, event.sim_seconds());
+        ledger_transfer(dev.device.name(), TransferKind::DeviceToHost,
+                        piece.size(), event);
         impl.host_valid.add(piece);
       }
     }
@@ -365,16 +330,9 @@ void Runtime::upload_range(ArrayImpl& impl, DeviceEntry& dev,
       /*offset=*/range.begin, std::move(deps));
   span.arg("bytes", static_cast<std::uint64_t>(nbytes))
       .arg("device", dev.device.name());
-  event.on_complete(
-      [this, nbytes, name = dev.device.name()](const clsim::Event& e) {
-        with_prof([&](ProfileSnapshot& p) {
-          p.transfer_sim_seconds += e.sim_seconds();
-          p.sim_wall_seconds += e.wall_seconds();
-          p.bytes_to_device += nbytes;
-        });
-        profiler_record_transfer(name, /*to_device=*/true, nbytes,
-                                 e.sim_seconds());
-      });
+  event.on_complete([nbytes, name = dev.device.name()](const clsim::Event& e) {
+    ledger_transfer(name, TransferKind::HostToDevice, nbytes, e);
+  });
   TransferCapture::note(event);
   impl.host_readers.push_back(event);  // upload reads host_ptr in flight
   copy.valid.add(range);
@@ -435,13 +393,8 @@ void Runtime::ensure_on_device(ArrayImpl& impl, DeviceEntry& dev,
           .arg("from", peer.device.name())
           .arg("to", dev.device.name());
       event.on_complete(
-          [this, nbytes, name = dev.device.name()](const clsim::Event& e) {
-            with_prof([&](ProfileSnapshot& p) {
-              p.transfer_sim_seconds += e.sim_seconds();
-              p.sim_wall_seconds += e.wall_seconds();
-              p.bytes_device_to_device += nbytes;
-            });
-            profiler_record_copy(name, nbytes, e.sim_seconds());
+          [nbytes, name = dev.device.name()](const clsim::Event& e) {
+            ledger_transfer(name, TransferKind::DeviceToDevice, nbytes, e);
           });
       TransferCapture::note(event);
       src.last_event = event;           // outgoing copy reads src in-order
@@ -515,15 +468,8 @@ void Runtime::make_host_current_async(ArrayImpl& impl, ByteRange range) {
         span.arg("bytes", static_cast<std::uint64_t>(nbytes))
             .arg("device", dev.device.name());
         event.on_complete(
-            [this, nbytes,
-             name = dev.device.name()](const clsim::Event& e) {
-              with_prof([&](ProfileSnapshot& p) {
-                p.transfer_sim_seconds += e.sim_seconds();
-                p.sim_wall_seconds += e.wall_seconds();
-                p.bytes_to_host += nbytes;
-              });
-              profiler_record_transfer(name, /*to_device=*/false, nbytes,
-                                       e.sim_seconds());
+            [nbytes, name = dev.device.name()](const clsim::Event& e) {
+              ledger_transfer(name, TransferKind::DeviceToHost, nbytes, e);
             });
         TransferCapture::note(event);
         impl.host_pending.push_back(event);

@@ -3,7 +3,9 @@
 
 /// \file runtime.hpp
 /// The HPL runtime: device table (one context + queue per simulated
-/// device), the kernel cache, coherent transfers, and profiling counters.
+/// device), the kernel cache and coherent transfers. Its launches, builds
+/// and transfers are accounted in the ledger (trace.hpp), of which
+/// profile() is a view.
 /// All of this is machinery the user never sees — the paper's point is
 /// precisely that eval() hides it.
 
@@ -53,7 +55,8 @@ private:
   int index_ = -1;  // -1 = default device
 };
 
-/// Aggregated profiling counters for HPL activity. Simulated seconds come
+/// Aggregated profiling counters for HPL activity, summed from the ledger
+/// rows (trace.hpp) by profile(). Simulated seconds come
 /// from the device timing model; host seconds are real wall-clock spent in
 /// eval (capture, code generation, builds, argument marshalling) excluding
 /// the wall time used to *simulate* the device.
@@ -61,11 +64,13 @@ struct ProfileSnapshot {
   double host_seconds = 0;           // eval overhead (real)
   double kernel_sim_seconds = 0;     // simulated device execution
   double transfer_sim_seconds = 0;   // simulated host<->device transfers
+  /// Commands that reached a queue, including ones that trapped; a launch
+  /// the device rejects at enqueue is not one.
   std::uint64_t kernel_launches = 0;
   std::uint64_t kernels_built = 0;   // capture+codegen+build events
   /// Launches whose kernel was already captured AND built for the target
-  /// device (no capture, codegen or compiler work). hits + misses ==
-  /// kernel_launches.
+  /// device (no capture, codegen or compiler work). The cache outcome is
+  /// recorded with the launch, so hits + misses == kernel_launches.
   std::uint64_t kernel_cache_hits = 0;
   std::uint64_t kernel_cache_misses = 0;
   std::uint64_t bytes_to_device = 0;
@@ -87,7 +92,9 @@ struct ProfileSnapshot {
   }
 };
 
+/// Quiesces every queue, then sums the ledger.
 ProfileSnapshot profile();
+/// Quiesces every queue, then clears the ledger.
 void reset_profile();
 
 /// Drops all cached kernels (captured sources and built binaries). Used by
@@ -225,29 +232,14 @@ public:
   /// make_host_current_async + blocks until the host copy is readable.
   void sync_to_host(ArrayImpl& impl);
 
-  /// Runs `fn(prof)` with the profile counters under their lock. Counters
-  /// are updated both from host threads (launch/build bookkeeping) and
-  /// from queue workers (simulated seconds, via Event completion
-  /// callbacks).
-  template <typename F>
-  void with_prof(F&& fn) {
-    std::lock_guard<std::mutex> lock(prof_mutex_);
-    fn(prof_);
-  }
-
-  /// Quiesces every queue (so all in-flight counter updates land) and
-  /// returns a consistent copy of the counters.
-  ProfileSnapshot profile_snapshot();
-  void reset_profile_counters();
-
   /// Blocks until every enqueued command on every device has completed;
   /// rethrows the first deferred execution error, if any.
   void finish_all();
 
   /// The generated name of the kernel captured from `fn`: a fresh
   /// `hpl_kernel_<N>` on first sight, the same name again when the kernel
-  /// is re-captured after purge_kernel_cache(), so per-kernel records
-  /// (the profiler registry) keep one row per kernel.
+  /// is re-captured after purge_kernel_cache(), so the ledger (trace.hpp)
+  /// keeps one row per kernel.
   std::string kernel_name(const void* fn);
 
   void clear_kernel_cache();
@@ -258,10 +250,9 @@ public:
 
 private:
   Runtime();
-  /// Quiesces every queue before member destruction begins: members are
-  /// destroyed in reverse declaration order, so prof_mutex_/prof_ would die
-  /// before devices_ — whose ~CommandQueue drains in-flight commands whose
-  /// completion callbacks land in with_prof().
+  /// Flushes the DAG and quiesces every queue before member destruction
+  /// begins, so no completion callback runs while the caches and queues
+  /// are being torn down.
   ~Runtime();
 
   /// Enqueues one sub-range h2d upload and records its accounting.
@@ -270,15 +261,12 @@ private:
 
   std::vector<DeviceEntry> devices_;
   /// Guards kernel_cache_, kernel_names_, next_kernel_id_ and
-  /// build_options_ (concurrent eval()s race on all of them). Lock order: kernel_mutex_ before
-  /// prof_mutex_; never the reverse.
+  /// build_options_ (concurrent eval()s race on all of them).
   std::mutex kernel_mutex_;
   std::map<const void*, CachedKernel> kernel_cache_;
   std::map<std::string, CachedKernel> fused_cache_;
   /// Survives clear_kernel_cache(): see kernel_name().
   std::map<const void*, std::string> kernel_names_;
-  std::mutex prof_mutex_;
-  ProfileSnapshot prof_;
   std::string build_options_;
   int next_kernel_id_ = 0;
 };

@@ -15,18 +15,33 @@ namespace HPL {
 
 namespace {
 
-struct Registry {
+/// The accounting ledger (see trace.hpp). Its mutex is a leaf lock:
+/// nothing else is acquired while it is held, so callers may record from
+/// under their own locks (build_for holds the kernel-cache lock).
+struct Ledger {
   std::mutex mu;
   std::map<std::pair<std::string, std::string>, KernelProfile> kernels;
   std::map<std::string, TransferProfile> transfers;
+  double host_seconds = 0;
+  double sim_wall_seconds = 0;
 };
 
-Registry& registry() {
+Ledger& ledger() {
   // Intentionally leaked: queue workers record launches until the Runtime
   // singleton (and its queues) is torn down at exit, which may happen
   // after any function-local static here would have been destroyed.
-  static Registry* instance = new Registry();
+  static Ledger* instance = new Ledger();
   return *instance;
+}
+
+KernelProfile& kernel_row(Ledger& l, const std::string& kernel,
+                          const std::string& device) {
+  auto [it, added] = l.kernels.try_emplace({kernel, device});
+  if (added) {
+    it->second.kernel = kernel;
+    it->second.device = device;
+  }
+  return it->second;
 }
 
 std::string fmt_ms(double seconds) {
@@ -52,25 +67,59 @@ std::string fmt_bytes(std::uint64_t bytes) {
 
 }  // namespace
 
-std::vector<KernelProfile> kernel_profiles() {
-  // Quiesce the queues: launch records land from on_complete callbacks on
-  // the queue workers, so a snapshot is only consistent once they drain.
+ProfileSnapshot profile() {
+  // Quiesce the queues: launch and transfer records land from completion
+  // callbacks on the queue workers, so a view is only consistent once
+  // they drain.
   detail::Runtime::get().finish_all();
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
+  Ledger& l = ledger();
+  std::lock_guard<std::mutex> lock(l.mu);
+  ProfileSnapshot snap;
+  snap.host_seconds = l.host_seconds;
+  snap.sim_wall_seconds = l.sim_wall_seconds;
+  for (const auto& [key, k] : l.kernels) {
+    snap.kernel_sim_seconds += k.sim.total_s;
+    snap.kernel_launches += k.launches;
+    snap.kernels_built += k.builds;
+    snap.kernel_cache_hits += k.cache_hits;
+  }
+  snap.kernel_cache_misses = snap.kernel_launches - snap.kernel_cache_hits;
+  for (const auto& [key, t] : l.transfers) {
+    snap.transfer_sim_seconds += t.sim_seconds;
+    snap.bytes_to_device += t.to_device_bytes;
+    snap.bytes_to_host += t.to_host_bytes;
+    snap.bytes_device_to_device += t.d2d_bytes;
+  }
+  return snap;
+}
+
+void reset_profile() {
+  detail::Runtime::get().finish_all();
+  Ledger& l = ledger();
+  std::lock_guard<std::mutex> lock(l.mu);
+  l.kernels.clear();
+  l.transfers.clear();
+  l.host_seconds = 0;
+  l.sim_wall_seconds = 0;
+}
+
+std::vector<KernelProfile> kernel_profiles() {
+  detail::Runtime::get().finish_all();
+  Ledger& l = ledger();
+  std::lock_guard<std::mutex> lock(l.mu);
   std::vector<KernelProfile> out;
-  out.reserve(reg.kernels.size());
-  for (const auto& [key, profile] : reg.kernels) out.push_back(profile);
+  out.reserve(l.kernels.size());
+  for (const auto& [key, profile] : l.kernels) out.push_back(profile);
   return out;  // map order == sorted by (kernel, device)
 }
 
 std::vector<TransferProfile> transfer_profiles() {
   detail::Runtime::get().finish_all();
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
+  Ledger& l = ledger();
+  std::lock_guard<std::mutex> lock(l.mu);
   std::vector<TransferProfile> out;
-  out.reserve(reg.transfers.size());
-  for (const auto& [key, profile] : reg.transfers) out.push_back(profile);
+  out.reserve(l.transfers.size());
+  for (const auto& [key, profile] : l.transfers) out.push_back(profile);
   return out;
 }
 
@@ -158,83 +207,61 @@ bool metrics_write(const std::string& path) {
 
 namespace detail {
 
-void profiler_record_launch(const std::string& kernel,
-                            const std::string& device, bool cache_hit,
-                            const hplrepro::clsim::Event& event) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  KernelProfile& p = reg.kernels[{kernel, device}];
-  if (p.launches == 0) {
-    p.kernel = kernel;
-    p.device = device;
-  }
+void ledger_launch(const std::string& kernel, const std::string& device,
+                   bool cache_hit, double host_seconds,
+                   const hplrepro::clsim::Event* event) {
+  Ledger& l = ledger();
+  std::lock_guard<std::mutex> lock(l.mu);
+  KernelProfile& p = kernel_row(l, kernel, device);
   p.launches += 1;
   if (cache_hit) p.cache_hits += 1;
-  p.sim += event.timing();
-  p.ops += event.stats().total_ops();
-  p.fused_ops += event.stats().fused_ops;
-  p.global_bytes +=
-      event.stats().global_load_bytes + event.stats().global_store_bytes;
+  l.host_seconds += host_seconds;
+  if (event == nullptr) return;
+  // The event has settled, so its profiling accessors do not block.
+  const auto& stats = event->stats();
+  p.sim += event->timing();
+  p.ops += stats.total_ops();
+  p.fused_ops += stats.fused_ops;
+  p.global_bytes += stats.global_load_bytes + stats.global_store_bytes;
+  l.sim_wall_seconds += event->wall_seconds();
 }
 
-void profiler_record_failed_launch(const std::string& kernel,
-                                   const std::string& device,
-                                   bool cache_hit) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  KernelProfile& p = reg.kernels[{kernel, device}];
-  if (p.launches == 0) {
-    p.kernel = kernel;
-    p.device = device;
+void ledger_build(const std::string& kernel, const std::string& device) {
+  Ledger& l = ledger();
+  std::lock_guard<std::mutex> lock(l.mu);
+  kernel_row(l, kernel, device).builds += 1;
+}
+
+void ledger_transfer(const std::string& device, TransferKind kind,
+                     std::uint64_t bytes,
+                     const hplrepro::clsim::Event& event) {
+  Ledger& l = ledger();
+  std::lock_guard<std::mutex> lock(l.mu);
+  auto [it, added] = l.transfers.try_emplace(device);
+  TransferProfile& t = it->second;
+  if (added) t.device = device;
+  switch (kind) {
+    case TransferKind::HostToDevice:
+      t.to_device_count += 1;
+      t.to_device_bytes += bytes;
+      break;
+    case TransferKind::DeviceToHost:
+      t.to_host_count += 1;
+      t.to_host_bytes += bytes;
+      break;
+    case TransferKind::DeviceToDevice:
+      t.d2d_count += 1;
+      t.d2d_bytes += bytes;
+      break;
   }
-  p.launches += 1;
-  if (cache_hit) p.cache_hits += 1;
+  t.sim_seconds += event.sim_seconds();
+  l.sim_wall_seconds += event.wall_seconds();
 }
 
-void profiler_record_build(const std::string& kernel,
-                           const std::string& device) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  KernelProfile& p = reg.kernels[{kernel, device}];
-  if (p.builds == 0 && p.launches == 0) {
-    p.kernel = kernel;
-    p.device = device;
-  }
-  p.builds += 1;
-}
-
-void profiler_record_transfer(const std::string& device, bool to_device,
-                              std::uint64_t bytes, double sim_seconds) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  TransferProfile& t = reg.transfers[device];
-  if (t.to_device_count == 0 && t.to_host_count == 0) t.device = device;
-  if (to_device) {
-    t.to_device_count += 1;
-    t.to_device_bytes += bytes;
-  } else {
-    t.to_host_count += 1;
-    t.to_host_bytes += bytes;
-  }
-  t.sim_seconds += sim_seconds;
-}
-
-void profiler_record_copy(const std::string& dst_device,
-                          std::uint64_t bytes, double sim_seconds) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  TransferProfile& t = reg.transfers[dst_device];
-  t.device = dst_device;
-  t.d2d_count += 1;
-  t.d2d_bytes += bytes;
-  t.sim_seconds += sim_seconds;
-}
-
-void profiler_reset() {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  reg.kernels.clear();
-  reg.transfers.clear();
+void ledger_host_seconds(double seconds) {
+  Ledger& l = ledger();
+  std::lock_guard<std::mutex> lock(l.mu);
+  l.host_seconds += seconds;
 }
 
 }  // namespace detail

@@ -5,10 +5,15 @@
 /// HPL-facing observability (paper §V context: show *where* eval's time
 /// goes). Two pieces:
 ///
-///   * a per-kernel / per-device profile registry, always on, fed by every
-///     eval: launch counts, cache hits, builds, simulated time split by
+///   * the accounting ledger, always on: one row per (kernel, device) —
+///     launches, cache hits, builds, simulated time split by
 ///     timing-model component, kernel memory traffic, fused-op ratio —
-///     plus per-device transfer totals;
+///     one row of transfer totals per device, and two ledger-level totals
+///     (host seconds, simulation wall seconds). Every launch, build and
+///     transfer reaches it through exactly one detail::ledger_* call, and
+///     profile(), kernel_profiles(), transfer_profiles() and
+///     profiler_report() are all views of it, so they agree by
+///     construction;
 ///   * `profiler_report()`, a human-readable decomposition (host vs kernel
 ///     vs transfer, then per kernel per device) rendered with
 ///     support/table.
@@ -58,7 +63,8 @@ struct TransferProfile {
   double sim_seconds = 0;
 };
 
-/// Snapshot of the registry (kernel rows sorted by kernel then device).
+/// Views of the ledger's rows (kernel rows sorted by kernel then device).
+/// Both quiesce every queue first.
 std::vector<KernelProfile> kernel_profiles();
 std::vector<TransferProfile> transfer_profiles();
 
@@ -88,34 +94,30 @@ bool metrics_write(const std::string& path);
 
 namespace detail {
 
-/// Called by eval for every launch.
-void profiler_record_launch(const std::string& kernel,
-                            const std::string& device, bool cache_hit,
-                            const hplrepro::clsim::Event& event);
+/// Records one launch — a command that reached a queue — when it settles.
+/// `event` is the healthy settled event, or nullptr for a command that
+/// failed (a VM trap): a failed launch still counts, with its cache
+/// outcome, but contributes no simulated time or kernel statistics (a
+/// failed event's profiling accessors rethrow its error). `host_seconds`
+/// is the launch's own host window (build, marshal, enqueue).
+void ledger_launch(const std::string& kernel, const std::string& device,
+                   bool cache_hit, double host_seconds,
+                   const hplrepro::clsim::Event* event);
 
-/// Called by eval for launches whose command failed (VM trap). The launch
-/// still counts — keeping registry sums reconciled with the ProfileSnapshot
-/// counters — but contributes no simulated time or kernel statistics
-/// (a failed event's profiling accessors rethrow its error).
-void profiler_record_failed_launch(const std::string& kernel,
-                                   const std::string& device, bool cache_hit);
+/// Records one build of `kernel` for `device`.
+void ledger_build(const std::string& kernel, const std::string& device);
 
-/// Called when a kernel is (re)built for a device.
-void profiler_record_build(const std::string& kernel,
-                           const std::string& device);
+enum class TransferKind { HostToDevice, DeviceToHost, DeviceToDevice };
 
-/// Called for every coherence transfer.
-void profiler_record_transfer(const std::string& device, bool to_device,
-                              std::uint64_t bytes, double sim_seconds);
+/// Records one completed coherence transfer. A device-to-device copy is
+/// attributed to the destination device's row.
+void ledger_transfer(const std::string& device, TransferKind kind,
+                     std::uint64_t bytes,
+                     const hplrepro::clsim::Event& event);
 
-/// Called for every direct device-to-device copy; attributed to the
-/// destination device's row.
-void profiler_record_copy(const std::string& dst_device,
-                          std::uint64_t bytes, double sim_seconds);
-
-/// Clears the registry (reset_profile does this so report sums always
-/// match the ProfileSnapshot counters).
-void profiler_reset();
+/// Records eval front-end host time (capture, codegen, recording), which
+/// belongs to no kernel row.
+void ledger_host_seconds(double seconds);
 
 }  // namespace detail
 }  // namespace HPL

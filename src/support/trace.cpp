@@ -237,8 +237,6 @@ void write_pending() {
   if (!path.empty()) write_chrome_trace(path);
 }
 
-#ifndef HPLREPRO_TRACE_DISABLED
-
 Span::Span(const char* name, const char* cat) : name_(name), cat_(cat) {
   // The flight recorder sees every span even when tracing is off: it is
   // the post-mortem context for kernel traps in otherwise-silent runs.
@@ -276,7 +274,5 @@ Span& Span::arg(const char* key, std::string_view value) {
   if (active_) args_.str(key, value);
   return *this;
 }
-
-#endif  // HPLREPRO_TRACE_DISABLED
 
 }  // namespace hplrepro::trace

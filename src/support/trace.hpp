@@ -19,8 +19,7 @@
 /// atomic load, `Span` construction bails out immediately, and nothing
 /// allocates. Enabling happens either programmatically (`trace_to`) or via
 /// the `HPL_TRACE=<path>` environment variable, which also arranges for
-/// the trace to be written at process exit. Defining
-/// `HPLREPRO_TRACE_DISABLED` compiles spans out entirely.
+/// the trace to be written at process exit.
 ///
 /// All recording APIs are thread-safe (the executor's pool threads may
 /// record concurrently with the main thread).
@@ -95,11 +94,9 @@ bool write_chrome_trace(const std::string& path);
 /// called automatically at exit when HPL_TRACE / trace_to set a path).
 void write_pending();
 
-#ifndef HPLREPRO_TRACE_DISABLED
-
 /// RAII span over a host-side stage. Records one complete event on the
-/// calling thread's track when destroyed. Construction is a no-op when
-/// tracing is disabled.
+/// calling thread's track when destroyed. When tracing is disabled a span
+/// costs one relaxed atomic load plus its flight-recorder marks.
 class Span {
 public:
   Span(const char* name, const char* cat);
@@ -121,19 +118,6 @@ private:
   bool active_ = false;
   Args args_;
 };
-
-#else  // HPLREPRO_TRACE_DISABLED: spans compile to nothing.
-
-class Span {
-public:
-  Span(const char*, const char*) {}
-  bool active() const { return false; }
-  Span& arg(const char*, double) { return *this; }
-  Span& arg(const char*, std::uint64_t) { return *this; }
-  Span& arg(const char*, std::string_view) { return *this; }
-};
-
-#endif  // HPLREPRO_TRACE_DISABLED
 
 }  // namespace hplrepro::trace
 

@@ -131,7 +131,7 @@ __kernel void k(__global uint* out) {
   out[gid] = acc;
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     {"conditionals", "k", R"CLC(
 __kernel void k(__global uint* out) {
   size_t gid = get_global_id(0);
@@ -149,7 +149,7 @@ __kernel void k(__global uint* out) {
   out[gid] = r + (gid > 16 ? 100u : 0u);
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     {"int_widths", "k", R"CLC(
 __kernel void k(__global uint* out) {
   size_t gid = get_global_id(0);
@@ -163,7 +163,7 @@ __kernel void k(__global uint* out) {
              (uint)(ul >> 32);
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     {"compound_assign", "k", R"CLC(
 __kernel void k(__global uint* out) {
   size_t gid = get_global_id(0);
@@ -175,7 +175,7 @@ __kernel void k(__global uint* out) {
   out[gid] = x + (uint)y;
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     {"local_mem_barrier", "k", R"CLC(
 __kernel void k(__global uint* out) {
   __local uint tile[16];
@@ -201,7 +201,7 @@ __kernel void k(__global uint* out) {
   out[gid] = b - square_plus((uint)gid, 0u);
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     {"conversions", "k", R"CLC(
 __kernel void k(__global float* out) {
   size_t gid = get_global_id(0);
@@ -214,7 +214,7 @@ __kernel void k(__global float* out) {
   out[gid] = (float)u + (float)l * 0.5f + f;
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     {"logical_ops", "k", R"CLC(
 __kernel void k(__global uint* out) {
   size_t gid = get_global_id(0);
@@ -228,7 +228,7 @@ __kernel void k(__global uint* out) {
   out[gid] = r;
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     {"builtins", "k", R"CLC(
 __kernel void k(__global float* out) {
   size_t gid = get_global_id(0);
@@ -238,7 +238,7 @@ __kernel void k(__global float* out) {
   out[gid] = r;
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     {"constant_heavy", "k", R"CLC(
 __kernel void k(__global uint* out) {
   size_t gid = get_global_id(0);
@@ -252,7 +252,7 @@ __kernel void k(__global uint* out) {
   out[gid] = c + (uint)d + (uint)e + x + y;
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     {"dead_code", "k", R"CLC(
 __kernel void k(__global uint* out) {
   size_t gid = get_global_id(0);
@@ -265,7 +265,7 @@ __kernel void k(__global uint* out) {
   out[gid] = r;
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     {"mad_and_indexing", "k", R"CLC(
 __kernel void k(__global uint* out) {
   size_t gid = get_global_id(0);
@@ -281,7 +281,7 @@ __kernel void k(__global uint* out) {
   out[(col * (n / 8u)) + row] = (uint)acc + (uint)(row * 8u + col);
 }
 )CLC",
-     64, 64},
+     64, 64, 0},
     // Signed 64-bit overflow wraps in two's complement, both when the
     // optimizer folds it (constants) and when the VMs execute it (data-
     // dependent values, one of them multiply-add fusion bait).

@@ -57,13 +57,6 @@ TEST(RuntimeSmoke, SaxpyOnDefaultDevice) {
   EXPECT_GT(event.sim_seconds(), 0.0);
 }
 
-const char* kDotSource = R"(
-__kernel void dotp(__global const float* v1, __global const float* v2,
-                   __global float* psums, __local float* unused) {
-  int dummy = 0;
-}
-)";
-
 TEST(RuntimeSmoke, LocalReductionWithBarrier) {
   const char* source = R"(
 __kernel void dotp(__global const float* v1, __global const float* v2,

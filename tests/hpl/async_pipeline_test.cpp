@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "clsim/runtime.hpp"
@@ -182,12 +183,12 @@ TEST_F(AsyncPipelineTest, ProfileCountersStayConsistentAcrossWorkers) {
 
 TEST_F(AsyncPipelineTest, FailedLaunchesKeepProfileReconciled) {
   // A launch that traps still counts as a launch in both the snapshot and
-  // the per-kernel registry, in both pipeline modes, so
-  // hits + misses == kernel_launches and profiler_report keeps reconciling
-  // with profile() after the failure.
-  // Eager mode: the sync-mode half of the test expects the trap to surface
-  // from eval() itself, which only holds when nothing is deferred.
-  ScopedFusionDisable fusion_off;
+  // the per-kernel ledger rows, in both pipeline modes and with fusion on
+  // or off, so hits + misses == kernel_launches and profiler_report keeps
+  // reconciling with profile() after the failure. The trap surfaces
+  // exactly once: from eval() itself when nothing is deferred (sync mode,
+  // fusion off), otherwise at the next forcing point. The healthy array
+  // recorded alongside it keeps its result, and the runtime stays usable.
   auto reconciled_counts = [](std::uint64_t expected_launches) {
     const auto snap = profile();
     EXPECT_EQ(snap.kernel_launches, expected_launches);
@@ -199,26 +200,51 @@ TEST_F(AsyncPipelineTest, FailedLaunchesKeepProfileReconciled) {
   };
 
   constexpr std::size_t n = 8;
-  {
-    Array<float, 1> ok(n), bad(n);
-    eval(triple)(ok);  // one healthy launch alongside the failing one
-    eval(divergent).global(n).local(4)(bad);
-    // Async mode: eval returned; the trap lands on the worker and is
-    // rethrown (once) by the next quiescing operation.
-    EXPECT_THROW(detail::Runtime::get().finish_all(),
-                 hplrepro::clc::TrapError);
-    reconciled_counts(2);
-  }
+  for (const bool fusion : {false, true}) {
+    SCOPED_TRACE(fusion ? "fusion on" : "fusion off");
+    std::optional<ScopedFusionDisable> fusion_off;
+    if (!fusion) fusion_off.emplace();
+    const bool deferred = fusion_enabled();
+    clsim::set_async_enabled(true);
+    purge_kernel_cache();
+    reset_profile();
+    {
+      Array<float, 1> ok(n), bad(n);
+      for (std::size_t i = 0; i < n; ++i) ok(i) = static_cast<float>(i);
+      eval(triple)(ok);  // one healthy launch in the same batch
+      eval(divergent).global(n).local(4)(bad);
+      // Async mode: eval returned; the trap lands on the worker and is
+      // rethrown (once) by the next quiescing operation.
+      EXPECT_THROW(detail::Runtime::get().finish_all(),
+                   hplrepro::clc::TrapError);
+      EXPECT_NO_THROW(detail::Runtime::get().finish_all());
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(ok(i), 3.0f * static_cast<float>(i)) << i;
+      }
+      reconciled_counts(2);
+      eval(triple)(ok);  // the runtime is still usable
+      EXPECT_EQ(ok(n - 1), 9.0f * static_cast<float>(n - 1));
+      reconciled_counts(3);
+    }
 
-  clsim::set_async_enabled(false);
-  purge_kernel_cache();
-  reset_profile();
-  {
-    Array<float, 1> bad(n);
-    // Sync mode: the same trap surfaces from eval itself.
-    EXPECT_THROW(eval(divergent).global(n).local(4)(bad),
-                 hplrepro::clc::TrapError);
-    reconciled_counts(1);
+    clsim::set_async_enabled(false);
+    purge_kernel_cache();
+    reset_profile();
+    {
+      Array<float, 1> bad(n);
+      if (deferred) {
+        // Sync mode, deferred: the trap surfaces when the batch flushes.
+        EXPECT_NO_THROW(eval(divergent).global(n).local(4)(bad));
+        EXPECT_THROW(detail::Runtime::get().finish_all(),
+                     hplrepro::clc::TrapError);
+      } else {
+        // Sync mode, eager: the same trap surfaces from eval itself.
+        EXPECT_THROW(eval(divergent).global(n).local(4)(bad),
+                     hplrepro::clc::TrapError);
+      }
+      EXPECT_NO_THROW(detail::Runtime::get().finish_all());
+      reconciled_counts(1);
+    }
   }
 }
 

@@ -73,9 +73,18 @@ TEST(EvalApi, DoubleKernelRejectedOnQuadro) {
   // (With fusion on, deferred evals surface it at the forcing point — see
   // fusion_test.cpp.)
   ScopedFusionDisable fusion_off;
+  reset_profile();
   Array<double, 1> out(8);
   EXPECT_THROW(eval(double_kernel).device(*Device::by_name("Quadro"))(out),
                hplrepro::Error);
+  // A launch is a command that reached a queue: the rejected one records
+  // no launch and no cache outcome, in profile() and the ledger rows alike.
+  const auto snap = profile();
+  EXPECT_EQ(snap.kernel_cache_hits + snap.kernel_cache_misses,
+            snap.kernel_launches);
+  std::uint64_t registry_launches = 0;
+  for (const auto& k : kernel_profiles()) registry_launches += k.launches;
+  EXPECT_EQ(registry_launches, snap.kernel_launches);
   // ... but runs on the Tesla and the CPU device.
   EXPECT_NO_THROW(eval(double_kernel).device(*Device::by_name("Tesla"))(out));
   EXPECT_NO_THROW(eval(double_kernel).device(Device::cpu_device())(out));
@@ -93,12 +102,6 @@ TEST(EvalApi, MismatchedLocalSizeThrows) {
 TEST(EvalApi, BracketIndexingInHostCodeThrows) {
   Array<float, 1> data(4);
   EXPECT_THROW((void)(data[0] + data[1]), hplrepro::Error);
-}
-
-void bad_paren_kernel(Array<float, 1> data) {
-  (void)data;
-  // Using a second array's () inside a kernel is the error; simulate by
-  // touching a captured host array via operator() during capture.
 }
 
 TEST(EvalApi, ControlKeywordsOutsideKernelThrow) {
@@ -186,6 +189,9 @@ TEST(EvalApiRace, ConcurrentSameKernelEvalsKeepArgumentsPaired) {
   EXPECT_EQ(snap.kernel_launches, 2u * kIters + 1u);
   EXPECT_EQ(snap.kernel_cache_hits + snap.kernel_cache_misses,
             snap.kernel_launches);
+  std::uint64_t registry_launches = 0;
+  for (const auto& k : kernel_profiles()) registry_launches += k.launches;
+  EXPECT_EQ(registry_launches, snap.kernel_launches);
 }
 
 void cold_shared(Array<float, 1> out) { out[idx] = 7.0f; }

@@ -252,6 +252,7 @@ TEST_F(TraceTest, ProfilerReportReconcilesWithSnapshot) {
   eval(reader)(in, out);
   Array<float, 1> data(256);
   eval(scale2)(data, 2.0f);
+  EXPECT_EQ(out(0), 1.0f);  // a d2h read, so both directions are exercised
 
   const ProfileSnapshot snap = profile();
   double kernel_sum = 0;
@@ -268,8 +269,16 @@ TEST_F(TraceTest, ProfilerReportReconcilesWithSnapshot) {
   EXPECT_EQ(builds, snap.kernels_built);
 
   double transfer_sum = 0;
-  for (const auto& t : transfer_profiles()) transfer_sum += t.sim_seconds;
+  std::uint64_t to_device = 0, to_host = 0;
+  for (const auto& t : transfer_profiles()) {
+    transfer_sum += t.sim_seconds;
+    to_device += t.to_device_bytes;
+    to_host += t.to_host_bytes;
+  }
   EXPECT_NEAR(transfer_sum, snap.transfer_sim_seconds, 1e-9);
+  EXPECT_GT(to_host, 0u);
+  EXPECT_EQ(to_device, snap.bytes_to_device);
+  EXPECT_EQ(to_host, snap.bytes_to_host);
 
   const std::string report = profiler_report();
   EXPECT_NE(report.find("HPL profiler report"), std::string::npos);
