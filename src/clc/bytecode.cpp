@@ -665,7 +665,7 @@ private:
     }
     if (!terminated) {
       // Explicit fallthrough branch: every block entry passes through
-      // enter_block() so accounting stays uniform.
+      // the VM's block-entry accounting, so it stays uniform.
       materialize_all();
       emit(RegOp::Br, 0, 0, 0, 0, branch_block(end));
     }

@@ -112,6 +112,96 @@ float apply_math_builtin_f(Builtin id, const float* a) {
 
 // is_transcendental lives in builtins.cpp (shared with the lowering pass).
 
+[[noreturn]] void trap(const char* what) { throw TrapError(what); }
+
+// The helpers below are shared by both interpreters, so they raise the same
+// traps and produce the same memory accounting. They take every input
+// explicitly: a closure capturing the dispatch loop's locals by reference
+// would force those locals out of machine registers. The two per-access
+// helpers are always inlined; every load and store handler calls both.
+
+// Resolves a pointer to host memory, bounds-checked.
+[[gnu::always_inline]] inline std::byte* resolve(const MemoryEnv& mem,
+                                                 std::vector<std::byte>& priv,
+                                                 std::uint64_t ptr,
+                                                 std::size_t size) {
+  const std::uint64_t offset = pointer_offset(ptr);
+  switch (pointer_space(ptr)) {
+    case PtrSpace::Global:
+    case PtrSpace::Constant: {
+      const std::uint64_t buffer = pointer_buffer(ptr);
+      if (buffer >= mem.buffers.size()) trap("bad buffer index");
+      auto span = mem.buffers[buffer];
+      if (offset + size > span.size()) trap("global access out of bounds");
+      return span.data() + offset;
+    }
+    case PtrSpace::Local:
+      if (offset + size > mem.local.size()) {
+        trap("local access out of bounds");
+      }
+      return mem.local.data() + offset;
+    case PtrSpace::Private:
+      if (offset + size > priv.size()) {
+        trap("private access out of bounds");
+      }
+      return priv.data() + offset;
+  }
+  trap("bad pointer space");
+}
+
+// Accounts a memory access in the stats and coalescing tracker.
+[[gnu::always_inline]] inline void note_access(ExecStats& stats,
+                                               MemTracker* tracker,
+                                               std::uint64_t item_linear,
+                                               std::uint64_t ptr,
+                                               std::uint32_t size, bool store,
+                                               std::uint32_t pc_key) {
+  switch (pointer_space(ptr)) {
+    case PtrSpace::Global:
+    case PtrSpace::Constant:
+      if (store) {
+        stats.global_store_bytes += size;
+      } else {
+        stats.global_load_bytes += size;
+      }
+      ++stats.global_accesses;
+      if (tracker) {
+        tracker->global_access(pc_key, item_linear, pointer_buffer(ptr),
+                               pointer_offset(ptr), size, store);
+      }
+      break;
+    case PtrSpace::Local:
+      stats.local_bytes += size;
+      ++stats.local_accesses;
+      break;
+    case PtrSpace::Private:
+      stats.private_bytes += size;
+      break;
+  }
+}
+
+// get_work_dim and the dimension queries. OpenCL 1.2 §6.12.1: outside
+// 0..get_work_dim()-1 an id reads 0 and a size or count reads 1; a 1-D or
+// 2-D launch already holds those values in its unused dimensions, and a
+// dimension >= 3 gets them here.
+std::uint64_t work_item_query(Builtin id, std::uint64_t dim,
+                              const LaunchInfo& launch,
+                              const WorkItemInfo& item) {
+  const bool in_range = dim < 3;
+  switch (id) {
+    case Builtin::GetWorkDim:
+      return static_cast<std::uint64_t>(launch.work_dim);
+    case Builtin::GetGlobalId: return in_range ? item.global_id[dim] : 0;
+    case Builtin::GetLocalId: return in_range ? item.local_id[dim] : 0;
+    case Builtin::GetGroupId: return in_range ? item.group_id[dim] : 0;
+    case Builtin::GetGlobalSize: return in_range ? launch.global_size[dim] : 1;
+    case Builtin::GetLocalSize: return in_range ? launch.local_size[dim] : 1;
+    case Builtin::GetNumGroups: return in_range ? launch.num_groups[dim] : 1;
+    default:
+      trap("bad work-item function");
+  }
+}
+
 }  // namespace
 
 void WorkItemVM::reset(const Module& module, const CompiledFunction& kernel,
@@ -135,9 +225,6 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
                           MemTracker* tracker) {
   std::uint64_t fuel = fuel_;
 
-  // Local aliases for the hot loop.
-  auto trap = [](const char* what) -> void { throw TrapError(what); };
-
   auto push = [&](Value v) { stack_.push_back(v); };
   auto pop = [&]() -> Value {
     Value v = stack_.back();
@@ -145,61 +232,6 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
     return v;
   };
   auto top = [&]() -> Value& { return stack_.back(); };
-
-  // Resolves a pointer to host memory, bounds-checked.
-  auto resolve = [&](std::uint64_t ptr, std::size_t size) -> std::byte* {
-    const std::uint64_t offset = pointer_offset(ptr);
-    switch (pointer_space(ptr)) {
-      case PtrSpace::Global:
-      case PtrSpace::Constant: {
-        const std::uint64_t buffer = pointer_buffer(ptr);
-        if (buffer >= mem.buffers.size()) trap("bad buffer index");
-        auto span = mem.buffers[buffer];
-        if (offset + size > span.size()) trap("global access out of bounds");
-        return span.data() + offset;
-      }
-      case PtrSpace::Local:
-        if (offset + size > mem.local.size()) {
-          trap("local access out of bounds");
-        }
-        return mem.local.data() + offset;
-      case PtrSpace::Private:
-        if (offset + size > private_arena_.size()) {
-          trap("private access out of bounds");
-        }
-        return private_arena_.data() + offset;
-    }
-    trap("bad pointer space");
-    return nullptr;
-  };
-
-  // Accounts a memory access in the stats and coalescing tracker.
-  auto note_access = [&](std::uint64_t ptr, std::uint32_t size, bool store,
-                         std::uint32_t pc_key) {
-    switch (pointer_space(ptr)) {
-      case PtrSpace::Global:
-      case PtrSpace::Constant:
-        if (store) {
-          stats.global_store_bytes += size;
-        } else {
-          stats.global_load_bytes += size;
-        }
-        ++stats.global_accesses;
-        if (tracker) {
-          tracker->global_access(pc_key, item.linear_in_group,
-                                 pointer_buffer(ptr), pointer_offset(ptr),
-                                 size, store);
-        }
-        break;
-      case PtrSpace::Local:
-        stats.local_bytes += size;
-        ++stats.local_accesses;
-        break;
-      case PtrSpace::Private:
-        stats.private_bytes += size;
-        break;
-    }
-  };
 
   while (!frames_.empty()) {
     Frame& frame = frames_.back();
@@ -285,9 +317,11 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
 #define HPLREPRO_LOAD_CASE(OPNAME, CTYPE, FIELD, EXT)                       \
   case Op::OPNAME: {                                                        \
     const std::uint64_t ptr = pop().u64;                                    \
-    note_access(ptr, sizeof(CTYPE), false, pc_key);                         \
+    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
+                false, pc_key);                                             \
     CTYPE raw;                                                              \
-    std::memcpy(&raw, resolve(ptr, sizeof(CTYPE)), sizeof(CTYPE));          \
+    std::memcpy(&raw, resolve(mem, private_arena_, ptr, sizeof(CTYPE)),     \
+                sizeof(CTYPE));                                             \
     Value v;                                                                \
     v.FIELD = EXT(raw);                                                     \
     push(v);                                                                \
@@ -308,9 +342,11 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
   case Op::OPNAME: {                                                        \
     const Value v = pop();                                                  \
     const std::uint64_t ptr = pop().u64;                                    \
-    note_access(ptr, sizeof(CTYPE), true, pc_key);                          \
+    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
+                true, pc_key);                                              \
     const CTYPE raw = static_cast<CTYPE>(v.FIELD);                          \
-    std::memcpy(resolve(ptr, sizeof(CTYPE)), &raw, sizeof(CTYPE));          \
+    std::memcpy(resolve(mem, private_arena_, ptr, sizeof(CTYPE)), &raw,     \
+                sizeof(CTYPE));                                             \
     break;                                                                  \
   }
       HPLREPRO_STORE_CASE(StoreI8, std::int8_t, i64)
@@ -450,24 +486,9 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
       }
 
       case Op::WorkItemFn: {
-        const auto id = static_cast<Builtin>(instr.a);
-        const std::uint64_t dim = pop().u64;
-        const std::size_t d = dim < 3 ? static_cast<std::size_t>(dim) : 0;
         Value v;
-        switch (id) {
-          case Builtin::GetWorkDim:
-            v.u64 = static_cast<std::uint64_t>(launch.work_dim);
-            break;
-          case Builtin::GetGlobalId: v.u64 = item.global_id[d]; break;
-          case Builtin::GetLocalId: v.u64 = item.local_id[d]; break;
-          case Builtin::GetGroupId: v.u64 = item.group_id[d]; break;
-          case Builtin::GetGlobalSize: v.u64 = launch.global_size[d]; break;
-          case Builtin::GetLocalSize: v.u64 = launch.local_size[d]; break;
-          case Builtin::GetNumGroups: v.u64 = launch.num_groups[d]; break;
-          default:
-            trap("bad work-item function");
-            v.u64 = 0;
-        }
+        v.u64 = work_item_query(static_cast<Builtin>(instr.a), pop().u64,
+                                launch, item);
         push(v);
         break;
       }
@@ -546,9 +567,11 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
   case Op::OPNAME: {                                                        \
     const std::int64_t index = pop().i64;                                   \
     const std::uint64_t ptr = pointer_add(pop().u64, index * instr.a);      \
-    note_access(ptr, sizeof(CTYPE), false, pc_key);                         \
+    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
+                false, pc_key);                                             \
     CTYPE raw;                                                              \
-    std::memcpy(&raw, resolve(ptr, sizeof(CTYPE)), sizeof(CTYPE));          \
+    std::memcpy(&raw, resolve(mem, private_arena_, ptr, sizeof(CTYPE)),     \
+                sizeof(CTYPE));                                             \
     Value v;                                                                \
     v.FIELD = EXT(raw);                                                     \
     push(v);                                                                \
@@ -577,9 +600,11 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
     const Value v = pop();                                                  \
     const std::int64_t index = pop().i64;                                   \
     const std::uint64_t ptr = pointer_add(pop().u64, index * instr.a);      \
-    note_access(ptr, sizeof(CTYPE), true, pc_key);                          \
+    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
+                true, pc_key);                                              \
     const CTYPE raw = static_cast<CTYPE>(v.FIELD);                          \
-    std::memcpy(resolve(ptr, sizeof(CTYPE)), &raw, sizeof(CTYPE));          \
+    std::memcpy(resolve(mem, private_arena_, ptr, sizeof(CTYPE)), &raw,     \
+                sizeof(CTYPE));                                             \
     ++stats.fused_ops;                                                      \
     break;                                                                  \
   }
@@ -652,15 +677,11 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
 
 // --- Register interpreter ---------------------------------------------------
 
-// Direct-threaded dispatch (labels as values) under GCC/Clang; define
-// HPLREPRO_VM_FORCE_SWITCH for the portable switch loop. The semantic
-// oracle is the stack interpreter above, selected per build with
+// Direct-threaded dispatch (labels as values, a GCC/Clang extension). The
+// semantic oracle is the stack interpreter above, selected per build with
 // -cl-interp=stack.
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(HPLREPRO_VM_FORCE_SWITCH)
-#define HPLREPRO_VM_COMPUTED_GOTO 1
-#else
-#define HPLREPRO_VM_COMPUTED_GOTO 0
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the register interpreter needs computed goto (GCC or Clang)"
 #endif
 
 void RegItemVM::reset(const Module& module, const CompiledFunction& kernel,
@@ -710,121 +731,93 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
                          ExecStats& stats, MemTracker* tracker) {
   constexpr bool kWG = std::is_same_v<VM, WorkGroupVM>;
 
+  // Dispatch state. Only this function reads and writes these locals (no
+  // closure captures them), so the compiler can keep them in machine
+  // registers; see the hot-loop rules in DESIGN.md §4a.
   std::uint64_t fuel = vm.fuel_;
   RegFrame* fr = &vm.frames_.back();
   const RegFunction* fn = fr->fn;
   const RegInstr* code = fn->code.data();
   Value* R = vm.regs_.data() + fr->base;
-  std::uint32_t pc = 0;
-  const RegInstr* in = nullptr;
+  const RegInstr* in = nullptr;  // the instruction being executed
 
   // Which work-item is executing: fixed in item mode, the loop cursor in
-  // wg mode (wg_advance below rebinds item/priv/R when switching items).
+  // wg mode (the region entry below rebinds item/priv when switching items).
   const WorkItemInfo* item = items;
   std::vector<std::byte>* priv = nullptr;
   [[maybe_unused]] std::size_t cur = static_cast<std::size_t>(-1);
   if constexpr (!kWG) priv = &vm.private_arena_;
 
-  auto trap = [](const char* what) -> void { throw TrapError(what); };
-
-  // Identical to the stack interpreter's resolve/note_access, so both
-  // paths produce the same traps and the same memory accounting.
-  auto resolve = [&](std::uint64_t ptr, std::size_t size) -> std::byte* {
-    const std::uint64_t offset = pointer_offset(ptr);
-    switch (pointer_space(ptr)) {
-      case PtrSpace::Global:
-      case PtrSpace::Constant: {
-        const std::uint64_t buffer = pointer_buffer(ptr);
-        if (buffer >= mem.buffers.size()) trap("bad buffer index");
-        auto span = mem.buffers[buffer];
-        if (offset + size > span.size()) trap("global access out of bounds");
-        return span.data() + offset;
-      }
-      case PtrSpace::Local:
-        if (offset + size > mem.local.size()) {
-          trap("local access out of bounds");
-        }
-        return mem.local.data() + offset;
-      case PtrSpace::Private:
-        if (offset + size > priv->size()) {
-          trap("private access out of bounds");
-        }
-        return priv->data() + offset;
-    }
-    trap("bad pointer space");
-    return nullptr;
-  };
-
-  auto note_access = [&](std::uint64_t ptr, std::uint32_t size, bool store,
-                         std::uint32_t pc_key) {
-    switch (pointer_space(ptr)) {
-      case PtrSpace::Global:
-      case PtrSpace::Constant:
-        if (store) {
-          stats.global_store_bytes += size;
-        } else {
-          stats.global_load_bytes += size;
-        }
-        ++stats.global_accesses;
-        if (tracker) {
-          tracker->global_access(pc_key, item->linear_in_group,
-                                 pointer_buffer(ptr), pointer_offset(ptr),
-                                 size, store);
-        }
-        break;
-      case PtrSpace::Local:
-        stats.local_bytes += size;
-        ++stats.local_accesses;
-        break;
-      case PtrSpace::Private:
-        stats.private_bytes += size;
-        break;
-    }
-  };
-
   // Block-level accounting: one histogram bump and one fuel burn per block
   // entry, precomputed at lowering time. Summed over a run this equals the
-  // stack interpreter's per-instruction counting exactly.
-  auto enter_block = [&](std::uint32_t b) {
-    const RegBlock& blk = fn->blocks[b];
-    stats.control_ops += blk.control_ops;
-    stats.int_ops += blk.int_ops;
-    stats.float_ops += blk.float_ops;
-    stats.double_ops += blk.double_ops;
-    stats.special_ops += blk.special_ops;
-    stats.fused_ops += blk.fused_ops;
-    if (fuel < blk.fuel) {
-      trap("instruction budget exhausted (infinite loop?)");
-    }
-    fuel -= blk.fuel;
-    pc = blk.start;
-  };
+  // stack interpreter's per-instruction counting exactly. Leaves `in` at
+  // the block's first instruction.
+#define VM_ENTER_BLOCK(B)                                                   \
+  do {                                                                      \
+    const RegBlock& entered = fn->blocks[B];                                \
+    stats.control_ops += entered.control_ops;                               \
+    stats.int_ops += entered.int_ops;                                       \
+    stats.float_ops += entered.float_ops;                                   \
+    stats.double_ops += entered.double_ops;                                 \
+    stats.special_ops += entered.special_ops;                               \
+    stats.fused_ops += entered.fused_ops;                                   \
+    if (fuel < entered.fuel) {                                              \
+      trap("instruction budget exhausted (infinite loop?)");                \
+    }                                                                       \
+    fuel -= entered.fuel;                                                   \
+    in = code + entered.start;                                              \
+  } while (0)
 
-  // wg mode only: advance the work-item loop to the next unfinished item
-  // and enter its pending region — restore its spill row into the shared
-  // register file, reset the per-item fuel budget (each item-region entry
-  // gets the full budget, exactly like a per-item run() call), account the
-  // region's entry block. Returns false when no unfinished item remains
-  // past the cursor, i.e. the current phase is over. Only called at frame
-  // depth 1 (eligible kernels have no barriers inside callees), so the
-  // kernel frame's register window starts at vm.regs_[0].
-  auto wg_advance = [&]() -> bool {
+  // Accounts the current memory instruction's access of CTYPE at PTR and
+  // yields its host address, bounds-checked.
+#define VM_ACCESS(PTR, CTYPE, STORE)                                        \
+  (note_access(stats, tracker, item->linear_in_group, (PTR), sizeof(CTYPE), \
+               (STORE), static_cast<std::uint32_t>(in->aux)),               \
+   resolve(mem, *priv, (PTR), sizeof(CTYPE)))
+
+  static const void* const kLabels[] = {
+#define HPLREPRO_VM_LABEL(name) &&L_##name,
+      HPLREPRO_REG_OPS(HPLREPRO_VM_LABEL)
+#undef HPLREPRO_VM_LABEL
+  };
+#define VM_CASE(name) L_##name:
+#define VM_JUMP goto* kLabels[static_cast<int>(in->op)];
+  // VM_NEXT runs the following instruction. Control transfers (Br, BrIf,
+  // Call, Ret, RetVoid) leave `in` at their target and end with VM_JUMP.
+#define VM_NEXT                                                             \
+  ++in;                                                                     \
+  VM_JUMP
+
+  // One trip per region entry. Item mode makes exactly one: kernel entry
+  // accounts block 0, resumption after a barrier the barrier's resume
+  // block. In wg mode a handler that ends an item's region (kernel-level
+  // return or barrier) `continue`s here to run the next item.
+  for (;;) {
     if constexpr (kWG) {
+      // Advance the work-item loop to the next unfinished item and enter
+      // its pending region: restore its spill row into the shared register
+      // file, reset the per-item fuel budget (each item-region entry gets
+      // the full budget, exactly like a per-item run() call), account the
+      // region's entry block. Barriers only occur at frame depth 1
+      // (eligible kernels have no barriers inside callees), so fr/fn/code/R
+      // still address the kernel frame, whose window starts at regs_[0].
       const std::size_t n = vm.group_items_;
-      std::size_t i = cur + 1;  // first call: cur == size_t(-1) wraps to 0
+      std::size_t i = cur + 1;  // first trip: cur == size_t(-1) wraps to 0
       while (i < n && vm.done_[i]) ++i;
-      if (i >= n) return false;
+      if (i >= n) {
+        // The phase is over: every item has finished or waits at a barrier.
+        return vm.phase_at_barrier_ != 0 ? RunStatus::Barrier
+                                         : RunStatus::Done;
+      }
       cur = i;
       item = items + cur;
       priv = &vm.privs_[cur];
-      // fr/fn/code/R still address the kernel frame: Call/Ret rebind them
-      // on every push/pop and barriers only occur at frame depth 1.
-      const auto blk = vm.pending_[cur];
-      const auto span = vm.restore_by_block_[blk];
+      const std::uint32_t entry = vm.pending_[cur];
+      const auto span = vm.restore_by_block_[entry];
       const auto* pairs = vm.spill_pairs_.data() + span.begin;
       // A fresh item (pending block 0) restores from the argument image; a
       // resumed one from the spill columns its barrier save wrote.
-      const Value* src = blk == 0
+      const Value* src = entry == 0
                              ? vm.spill_init_.data()
                              : vm.spills_.data() + cur * vm.spill_stride_;
       for (std::uint32_t k = 0; k < span.len; ++k) {
@@ -832,42 +825,12 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
       }
       fuel = vm.fuel_;
       ++vm.regions_executed_;
-      enter_block(blk);
-      return true;
+      VM_ENTER_BLOCK(entry);
     } else {
-      return false;
+      VM_ENTER_BLOCK(vm.pending_block_);
     }
-  };
 
-  // Kernel entry accounts block 0; resumption after a barrier accounts the
-  // barrier's resume block. In wg mode the first wg_advance picks the
-  // phase's first unfinished item.
-  if constexpr (kWG) {
-    if (!wg_advance()) return RunStatus::Done;
-  } else {
-    enter_block(vm.pending_block_);
-  }
-
-#if HPLREPRO_VM_COMPUTED_GOTO
-  static const void* const kLabels[] = {
-#define HPLREPRO_VM_LABEL(name) &&L_##name,
-      HPLREPRO_REG_OPS(HPLREPRO_VM_LABEL)
-#undef HPLREPRO_VM_LABEL
-  };
-#define VM_CASE(name) L_##name:
-#define VM_NEXT                                   \
-  in = code + pc;                                 \
-  ++pc;                                           \
-  goto* kLabels[static_cast<int>(in->op)];
-  VM_NEXT
-#else
-#define VM_CASE(name) case RegOp::name:
-#define VM_NEXT break;
-  for (;;) {
-    in = code + pc;
-    ++pc;
-    switch (in->op) {
-#endif
+    VM_JUMP
 
   VM_CASE(Mov) { R[in->dst] = R[in->a]; }
   VM_NEXT
@@ -887,10 +850,8 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 #define HPLREPRO_RLOAD(NAME, CTYPE, FIELD, EXT)                             \
   VM_CASE(NAME) {                                                           \
     const std::uint64_t ptr = R[in->a].u64;                                 \
-    note_access(ptr, sizeof(CTYPE), false,                                  \
-                static_cast<std::uint32_t>(in->aux));                       \
     CTYPE raw;                                                              \
-    std::memcpy(&raw, resolve(ptr, sizeof(CTYPE)), sizeof(CTYPE));          \
+    std::memcpy(&raw, VM_ACCESS(ptr, CTYPE, false), sizeof(CTYPE));         \
     R[in->dst].FIELD = EXT(raw);                                            \
   }                                                                         \
   VM_NEXT
@@ -908,10 +869,8 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 #define HPLREPRO_RSTORE(NAME, CTYPE, FIELD)                                 \
   VM_CASE(NAME) {                                                           \
     const std::uint64_t ptr = R[in->a].u64;                                 \
-    note_access(ptr, sizeof(CTYPE), true,                                   \
-                static_cast<std::uint32_t>(in->aux));                       \
     const CTYPE raw = static_cast<CTYPE>(R[in->b].FIELD);                   \
-    std::memcpy(resolve(ptr, sizeof(CTYPE)), &raw, sizeof(CTYPE));          \
+    std::memcpy(VM_ACCESS(ptr, CTYPE, true), &raw, sizeof(CTYPE));          \
   }                                                                         \
   VM_NEXT
   HPLREPRO_RSTORE(StoreI8, std::int8_t, i64)
@@ -926,10 +885,8 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
   VM_CASE(NAME) {                                                           \
     const std::uint64_t ptr =                                               \
         pointer_add(R[in->a].u64, R[in->b].i64 * in->imm);                  \
-    note_access(ptr, sizeof(CTYPE), false,                                  \
-                static_cast<std::uint32_t>(in->aux));                       \
     CTYPE raw;                                                              \
-    std::memcpy(&raw, resolve(ptr, sizeof(CTYPE)), sizeof(CTYPE));          \
+    std::memcpy(&raw, VM_ACCESS(ptr, CTYPE, false), sizeof(CTYPE));         \
     R[in->dst].FIELD = EXT(raw);                                            \
   }                                                                         \
   VM_NEXT
@@ -948,10 +905,8 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
   VM_CASE(NAME) {                                                           \
     const std::uint64_t ptr =                                               \
         pointer_add(R[in->a].u64, R[in->b].i64 * in->imm);                  \
-    note_access(ptr, sizeof(CTYPE), true,                                   \
-                static_cast<std::uint32_t>(in->aux));                       \
     const CTYPE raw = static_cast<CTYPE>(R[in->c].FIELD);                   \
-    std::memcpy(resolve(ptr, sizeof(CTYPE)), &raw, sizeof(CTYPE));          \
+    std::memcpy(VM_ACCESS(ptr, CTYPE, true), &raw, sizeof(CTYPE));          \
   }                                                                         \
   VM_NEXT
   HPLREPRO_RSIDX(SIdxI8, std::int8_t, i64)
@@ -1068,20 +1023,20 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
   }
   VM_NEXT
 
-  VM_CASE(Br) { enter_block(static_cast<std::uint32_t>(in->aux)); }
-  VM_NEXT
+  VM_CASE(Br) { VM_ENTER_BLOCK(static_cast<std::uint32_t>(in->aux)); }
+  VM_JUMP
 
   VM_CASE(BrIf) {
-    enter_block(R[in->a].i64 != 0 ? in->dst
-                                  : static_cast<std::uint32_t>(in->aux));
+    VM_ENTER_BLOCK(R[in->a].i64 != 0 ? in->dst
+                                     : static_cast<std::uint32_t>(in->aux));
   }
-  VM_NEXT
+  VM_JUMP
 
   VM_CASE(Call) {
     if (vm.frames_.size() >= 64) trap("call stack overflow");
     const RegFunction& callee =
         vm.module_->reg_functions[static_cast<std::size_t>(in->aux)];
-    fr->pc = pc;
+    fr->pc = static_cast<std::uint32_t>(in + 1 - code);
     RegFrame next;
     next.fn = &callee;
     next.ret_reg = in->b ? static_cast<std::uint32_t>(fr->base + in->dst)
@@ -1105,12 +1060,11 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
     fn = &callee;
     code = fn->code.data();
     R = vm.regs_.data() + fr->base;
-    enter_block(0);
+    VM_ENTER_BLOCK(0);
   }
-  VM_NEXT
+  VM_JUMP
 
   VM_CASE(Ret) {
-    bool handled = false;
     if constexpr (kWG) {
       if (vm.frames_.size() == 1) {
         // Kernel-level return: this item is finished. Keep the shared
@@ -1118,53 +1072,47 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
         vm.done_[cur] = 1;
         ++vm.done_count_;
         ++vm.phase_finished_;
-        if (!wg_advance()) return RunStatus::Done;
-        handled = true;
+        continue;
       }
     }
-    if (!handled) {
-      const Value result = R[in->a];
-      const std::uint32_t rr = fr->ret_reg;
-      vm.regs_.resize(fr->base);
-      vm.frames_.pop_back();
-      if (vm.frames_.empty()) return RunStatus::Done;
-      fr = &vm.frames_.back();
-      fn = fr->fn;
-      code = fn->code.data();
-      R = vm.regs_.data() + fr->base;
-      pc = fr->pc;
-      if (rr != kRegNoRet) vm.regs_[rr] = result;
-    }
+    const Value result = R[in->a];
+    const std::uint32_t rr = fr->ret_reg;
+    vm.regs_.resize(fr->base);
+    vm.frames_.pop_back();
+    if (vm.frames_.empty()) return RunStatus::Done;
+    fr = &vm.frames_.back();
+    fn = fr->fn;
+    code = fn->code.data();
+    R = vm.regs_.data() + fr->base;
+    in = code + fr->pc;
+    if (rr != kRegNoRet) vm.regs_[rr] = result;
   }
-  VM_NEXT
+  VM_JUMP
 
   VM_CASE(RetVoid) {
-    bool handled = false;
     if constexpr (kWG) {
       if (vm.frames_.size() == 1) {
         vm.done_[cur] = 1;
         ++vm.done_count_;
         ++vm.phase_finished_;
-        if (!wg_advance()) return RunStatus::Done;
-        handled = true;
+        continue;
       }
     }
-    if (!handled) {
-      vm.regs_.resize(fr->base);
-      vm.frames_.pop_back();
-      if (vm.frames_.empty()) return RunStatus::Done;
-      fr = &vm.frames_.back();
-      fn = fr->fn;
-      code = fn->code.data();
-      R = vm.regs_.data() + fr->base;
-      pc = fr->pc;
-    }
+    vm.regs_.resize(fr->base);
+    vm.frames_.pop_back();
+    if (vm.frames_.empty()) return RunStatus::Done;
+    fr = &vm.frames_.back();
+    fn = fr->fn;
+    code = fn->code.data();
+    R = vm.regs_.data() + fr->base;
+    in = code + fr->pc;
   }
-  VM_NEXT
+  VM_JUMP
 
   VM_CASE(Barrier) {
     vm.barrier_flags_ = R[in->a].u64;
     ++stats.barriers_executed;
+    const auto resume = static_cast<std::uint32_t>(in->aux);
     if constexpr (kWG) {
       // A barrier the front end did not record would have made the kernel
       // ineligible; mirror the item-mode fast path's trap just in case.
@@ -1174,7 +1122,6 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
       // Save the resume block's save list — the live registers a region
       // reaching this barrier may have modified; the rest already sit in
       // their spill columns — park the item there, run the next item.
-      const auto resume = static_cast<std::uint32_t>(in->aux);
       const auto span = vm.save_by_block_[resume];
       const auto* pairs = vm.spill_pairs_.data() + span.begin;
       Value* row = vm.spills_.data() + cur * vm.spill_stride_;
@@ -1183,35 +1130,18 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
       }
       vm.pending_[cur] = resume;
       ++vm.phase_at_barrier_;
-      if (!wg_advance()) return RunStatus::Barrier;
+      continue;
     } else {
       // Suspend: the register file (regs_/frames_) is the saved state; the
       // resume block is accounted on the next run() call.
-      vm.pending_block_ = static_cast<std::uint32_t>(in->aux);
+      vm.pending_block_ = resume;
       return RunStatus::Barrier;
     }
   }
-  VM_NEXT
 
   VM_CASE(WorkItem) {
-    const auto id = static_cast<Builtin>(in->aux);
-    const std::uint64_t dim = R[in->a].u64;
-    const std::size_t d = dim < 3 ? static_cast<std::size_t>(dim) : 0;
-    std::uint64_t v = 0;
-    switch (id) {
-      case Builtin::GetWorkDim:
-        v = static_cast<std::uint64_t>(launch.work_dim);
-        break;
-      case Builtin::GetGlobalId: v = item->global_id[d]; break;
-      case Builtin::GetLocalId: v = item->local_id[d]; break;
-      case Builtin::GetGroupId: v = item->group_id[d]; break;
-      case Builtin::GetGlobalSize: v = launch.global_size[d]; break;
-      case Builtin::GetLocalSize: v = launch.local_size[d]; break;
-      case Builtin::GetNumGroups: v = launch.num_groups[d]; break;
-      default:
-        trap("bad work-item function");
-    }
-    R[in->dst].u64 = v;
+    R[in->dst].u64 = work_item_query(static_cast<Builtin>(in->aux),
+                                     R[in->a].u64, launch, *item);
   }
   VM_NEXT
 
@@ -1271,14 +1201,11 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
     }
   }
   VM_NEXT
-
-#if !HPLREPRO_VM_COMPUTED_GOTO
-      default:
-        throw InternalError("RegItemVM: bad opcode");
-    }
   }
-#endif
+#undef VM_ENTER_BLOCK
+#undef VM_ACCESS
 #undef VM_CASE
+#undef VM_JUMP
 #undef VM_NEXT
 }
 

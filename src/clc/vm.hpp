@@ -117,9 +117,8 @@ struct RegFrame {
 struct RegRunner;
 
 /// Executes the register form (Module::reg_functions) produced by
-/// lower_module with a direct-threaded dispatch loop (computed goto under
-/// GCC/Clang; define HPLREPRO_VM_FORCE_SWITCH to get the portable switch
-/// loop). Drop-in equivalent of WorkItemVM: bit-identical results,
+/// lower_module with a direct-threaded dispatch loop (computed goto, so
+/// GCC or Clang). Drop-in equivalent of WorkItemVM: bit-identical results,
 /// identical ExecStats (accounted per basic block from the histograms
 /// precomputed at lowering time), identical trap messages, and the same
 /// barrier suspend/resume protocol — a suspended item is just the saved

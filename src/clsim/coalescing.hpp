@@ -14,9 +14,14 @@
 /// Work-items of a group run sequentially in the simulator, so the tracker
 /// keys the "current warp" on item_linear / warp_size and flushes when a
 /// new warp starts issuing from the same instruction.
+///
+/// The tracker sits on the interpreters' per-access path, so the
+/// per-instruction state lives in a flat open-addressed table (one multiply
+/// and usually one probe per access), and warp and segment sizes must be
+/// powers of two so the divisions are shifts.
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "clc/vm.hpp"
@@ -25,9 +30,9 @@ namespace hplrepro::clsim {
 
 class CoalescingTracker final : public clc::MemTracker {
 public:
-  explicit CoalescingTracker(unsigned warp_size, unsigned segment_bytes)
-      : warp_size_(warp_size == 0 ? 1 : warp_size),
-        segment_bytes_(segment_bytes == 0 ? 32 : segment_bytes) {}
+  /// 0 selects the defaults (1 lane, 32 B). Throws InvalidArgument unless
+  /// both sizes are powers of two.
+  explicit CoalescingTracker(unsigned warp_size, unsigned segment_bytes);
 
   void global_access(std::uint32_t pc_key, std::uint64_t item_linear,
                      std::uint64_t buffer, std::uint64_t offset,
@@ -41,16 +46,24 @@ public:
   void reset();
 
 private:
+  /// Marks a free table slot; real keys are 32-bit pc_keys.
+  static constexpr std::uint64_t kFree = UINT64_MAX;
+
   struct PerInstr {
+    std::uint64_t key = kFree;
     std::uint64_t warp = UINT64_MAX;
     // Segments touched by the current warp at this instruction. Accesses
     // are usually strided, so a small vector with linear scan beats a set.
     std::vector<std::uint64_t> segments;
   };
 
-  unsigned warp_size_;
-  unsigned segment_bytes_;
-  std::unordered_map<std::uint32_t, PerInstr> instrs_;
+  PerInstr& lookup(std::uint32_t pc_key);
+  void grow();
+
+  unsigned warp_shift_;     // log2(warp size)
+  unsigned segment_shift_;  // log2(segment bytes)
+  std::vector<PerInstr> table_;  // power-of-two size, linear probing
+  std::size_t used_ = 0;
   std::uint64_t transactions_ = 0;
 };
 

@@ -39,8 +39,8 @@ struct DeviceSpec {
   // overlaps with compute (roofline max). A single CPU core has no such
   // thread-level latency hiding: compute and memory time add up.
   bool hides_memory_latency = true;
-  unsigned warp_size = 32;
-  unsigned segment_bytes = 32;
+  unsigned warp_size = 32;      // power of two (coalescing.hpp)
+  unsigned segment_bytes = 32;  // power of two
   std::uint64_t global_mem_bytes = 1ull << 30;
   std::uint64_t local_mem_bytes = 48 * 1024;  // per work-group
 

@@ -505,15 +505,17 @@ void CommandQueue::finish() {
   if (error) std::rethrow_exception(error);
 }
 
-void CommandQueue::consume_error(const Event& event) {
+bool CommandQueue::consume_error(const Event& event) {
   std::exception_ptr error;
   {
     std::lock_guard lock(event.state_->mu);
     error = event.state_->error;
   }
-  if (error == nullptr) return;
+  if (error == nullptr) return false;
   std::lock_guard lock(mutex_);
-  if (first_error_ == error) first_error_ = nullptr;
+  if (first_error_ != error) return false;
+  first_error_ = nullptr;
+  return true;
 }
 
 double CommandQueue::simulated_seconds() const {

@@ -382,8 +382,9 @@ public:
   /// Forgets the queue's sticky first-error if it is the one carried by
   /// `event`, whose wait() already surfaced it to the caller — so finish()
   /// does not report the same failure a second time. Errors belonging to
-  /// other commands are left in place.
-  void consume_error(const Event& event);
+  /// other commands are left in place. Returns whether it was (whether
+  /// the failure was still unreported).
+  bool consume_error(const Event& event);
 
   /// Total simulated device seconds accumulated by this queue. Reflects
   /// completed commands only; call finish() first for a quiescent value.

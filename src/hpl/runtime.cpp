@@ -491,6 +491,16 @@ void Runtime::make_host_current_async(ArrayImpl& impl) {
 }
 
 void Runtime::sync_to_host(ArrayImpl& impl) {
+  // The last command on each device copy the reads below may gather from.
+  // If one of them failed (async mode: a trap lands on the worker after the
+  // flush returned) and no sync point has reported it yet, this host read
+  // reports it, once, instead of handing back bytes it never wrote.
+  std::vector<clsim::Event> producers;
+  if (!impl.host_valid.covers(ByteRange{0, impl.bytes()})) {
+    for (const auto& [key, copy] : impl.copies) {
+      if (!copy.valid.empty()) producers.push_back(copy.last_event);
+    }
+  }
   make_host_current_async(impl);
   // The lazy synchronization point: the host blocks only here, when it
   // actually dereferences the data (or is about to overwrite it).
@@ -508,6 +518,17 @@ void Runtime::sync_to_host(ArrayImpl& impl) {
     stalls.add_always(1);
     stall_ns.record_always(
         static_cast<std::uint64_t>(watch.seconds() * 1e9));
+  }
+  for (const clsim::Event& producer : producers) {
+    try {
+      producer.wait();
+    } catch (...) {
+      bool unreported = false;
+      for (auto& dev : devices_) {
+        unreported = dev.queue->consume_error(producer) || unreported;
+      }
+      if (unreported) throw;
+    }
   }
 }
 

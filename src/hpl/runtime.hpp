@@ -230,6 +230,8 @@ public:
   void make_host_current_async(ArrayImpl& impl);
 
   /// make_host_current_async + blocks until the host copy is readable.
+  /// Rethrows the error of a failed command that last wrote a copy it read
+  /// from, unless a sync point already reported it.
   void sync_to_host(ArrayImpl& impl);
 
   /// Blocks until every enqueued command on every device has completed;

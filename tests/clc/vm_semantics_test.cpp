@@ -310,6 +310,63 @@ __kernel void k(__global int* out) {
   }
 }
 
+// OpenCL 1.2 §6.12.1: for a dimension outside 0..get_work_dim()-1 the id
+// queries return 0 and the size and count queries return 1. On a 1-D
+// launch, dimension 1 is in range of the arrays but unused, 3 and 7 are out
+// of range entirely. Constant dimensions exercise the lowering's direct id
+// reads; the runtime dimension stored by the host takes the generic path.
+TEST(VmSemantics, OutOfRangeDimensionReturnsSpecDefaults) {
+  const char* src = R"(
+__kernel void k(__global ulong* out) {
+  __global ulong* o = out + get_global_id(0) * 24;
+  uint runtime_dim = (uint)o[18];
+  o[0] = get_global_id(1);
+  o[1] = get_local_id(1);
+  o[2] = get_group_id(1);
+  o[3] = get_global_size(1);
+  o[4] = get_local_size(1);
+  o[5] = get_num_groups(1);
+  o[6] = get_global_id(3);
+  o[7] = get_local_id(3);
+  o[8] = get_group_id(3);
+  o[9] = get_global_size(3);
+  o[10] = get_local_size(3);
+  o[11] = get_num_groups(3);
+  o[12] = get_global_id(7);
+  o[13] = get_local_id(7);
+  o[14] = get_group_id(7);
+  o[15] = get_global_size(7);
+  o[16] = get_local_size(7);
+  o[17] = get_num_groups(7);
+  o[18] = get_global_id(runtime_dim);
+  o[19] = get_local_id(runtime_dim);
+  o[20] = get_group_id(runtime_dim);
+  o[21] = get_global_size(runtime_dim);
+  o[22] = get_local_size(runtime_dim);
+  o[23] = get_num_groups(runtime_dim);
+}
+)";
+ constexpr std::size_t kItems = 8;
+  const char* const kDims[] = {"1", "3", "7", "5+item (runtime)"};
+  for (const char* options :
+       {"-cl-interp=stack", "-cl-interp=threaded",
+        "-cl-interp=threaded -cl-wg-loops=off"}) {
+    SCOPED_TRACE(options);
+    std::vector<std::uint64_t> out(kItems * 24, 0);
+    for (std::size_t g = 0; g < kItems; ++g) out[g * 24 + 18] = 5 + g;
+    out = run_kernel_1buf<std::uint64_t>(src, "k", std::move(out), kItems, 4,
+                                         options);
+    for (std::size_t g = 0; g < kItems; ++g) {
+      for (std::size_t q = 0; q < 24; ++q) {
+        const std::uint64_t expected = q % 6 < 3 ? 0 : 1;  // ids, then sizes
+        EXPECT_EQ(out[g * 24 + q], expected)
+            << "item " << g << " dimension " << kDims[q / 6] << " query "
+            << q % 6;
+      }
+    }
+  }
+}
+
 // --- Traps ------------------------------------------------------------------------------
 
 TEST(VmSemantics, OutOfBoundsAccessTraps) {

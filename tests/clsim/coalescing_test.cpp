@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "clsim/coalescing.hpp"
+#include "support/error.hpp"
 
 using hplrepro::clsim::CoalescingTracker;
 
@@ -90,6 +98,139 @@ TEST(Coalescing, FinishIsIdempotent) {
   tracker.global_access(1, 0, 0, 0, 4, false);
   EXPECT_EQ(tracker.finish(), 1u);
   EXPECT_EQ(tracker.finish(), 0u);
+}
+
+// --- Oracle: the straightforward tracker ---------------------------------------
+
+// The original hash-map implementation, kept verbatim as the reference the
+// flat-table tracker must match transaction for transaction: the two
+// interpreters report the same transaction counts only while the tracker
+// itself is exact.
+class ReferenceTracker {
+public:
+  ReferenceTracker(unsigned warp_size, unsigned segment_bytes)
+      : warp_size_(warp_size == 0 ? 1 : warp_size),
+        segment_bytes_(segment_bytes == 0 ? 32 : segment_bytes) {}
+
+  void global_access(std::uint32_t pc_key, std::uint64_t item_linear,
+                     std::uint64_t buffer, std::uint64_t offset,
+                     std::uint32_t size) {
+    PerInstr& state = instrs_[pc_key];
+    const std::uint64_t warp = item_linear / warp_size_;
+    if (warp != state.warp) {
+      transactions_ += state.segments.size();
+      state.segments.clear();
+      state.warp = warp;
+    }
+    const std::uint64_t first = (buffer << 50) | (offset / segment_bytes_);
+    const std::uint64_t last =
+        (buffer << 50) | ((offset + size - 1) / segment_bytes_);
+    for (std::uint64_t seg = first; seg <= last; ++seg) {
+      if (std::find(state.segments.begin(), state.segments.end(), seg) ==
+          state.segments.end()) {
+        state.segments.push_back(seg);
+      }
+    }
+  }
+
+  std::uint64_t finish() {
+    for (auto& [key, state] : instrs_) {
+      transactions_ += state.segments.size();
+      state.segments.clear();
+      state.warp = UINT64_MAX;
+    }
+    const std::uint64_t result = transactions_;
+    transactions_ = 0;
+    return result;
+  }
+
+  void reset() {
+    instrs_.clear();
+    transactions_ = 0;
+  }
+
+private:
+  struct PerInstr {
+    std::uint64_t warp = UINT64_MAX;
+    std::vector<std::uint64_t> segments;
+  };
+
+  unsigned warp_size_;
+  unsigned segment_bytes_;
+  std::unordered_map<std::uint32_t, PerInstr> instrs_;
+  std::uint64_t transactions_ = 0;
+};
+
+// Seeded random access streams shaped like kernel execution — items in
+// order, each issuing from a set of memory instructions (more than the
+// table's initial capacity, some in other functions' pc_key ranges), with
+// occasional backward item jumps — over several buffers, with 1/4/8/16 B
+// accesses placed to straddle segment boundaries, and finish()/reset()
+// mid-stream. The 64 B and 128 B segments make the 16 B accesses and the
+// segment jitter cross boundaries at other alignments than 32 B does.
+TEST(Coalescing, FlatTableMatchesReferenceOnRandomStreams) {
+  constexpr std::uint32_t kSizes[] = {1, 4, 8, 16};
+  for (const unsigned warp : {1u, 8u, 32u}) {
+    for (const unsigned segment : {32u, 64u, 128u}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("warp " + std::to_string(warp) + " segment " +
+                     std::to_string(segment) + " seed " +
+                     std::to_string(seed));
+        std::mt19937_64 rng(seed * 1000 + warp * 10 + segment);
+        auto below = [&](std::uint64_t n) { return rng() % n; };
+
+        std::vector<std::uint32_t> keys;
+        const std::size_t nkeys = 1 + below(40);
+        for (std::size_t k = 0; k < nkeys; ++k) {
+          keys.push_back(static_cast<std::uint32_t>(below(3) << 20) |
+                         static_cast<std::uint32_t>(below(4096)));
+        }
+        CoalescingTracker tracker(warp, segment);
+        ReferenceTracker reference(warp, segment);
+
+        std::uint64_t item = 0;
+        for (int step = 0; step < 4000; ++step) {
+          const std::uint32_t key = keys[below(keys.size())];
+          const std::uint64_t buffer = below(4);
+          const std::uint32_t size = kSizes[below(4)];
+          // Mostly strided by item, sometimes scattered; the jitter moves
+          // accesses across segment boundaries.
+          const std::uint64_t stride = 1 + below(2) * size;
+          const std::uint64_t offset =
+              below(8) == 0 ? below(1u << 20)
+                            : item * stride + below(segment);
+          tracker.global_access(key, item, buffer, offset, size, false);
+          reference.global_access(key, item, buffer, offset, size);
+
+          const std::uint64_t roll = below(100);
+          if (roll < 30) {
+            ++item;
+          } else if (roll < 32 && item > 0) {
+            item -= 1 + below(item);
+          }
+          if (below(500) == 0) {
+            ASSERT_EQ(tracker.finish(), reference.finish()) << step;
+          }
+          if (below(1500) == 0) {
+            tracker.reset();
+            reference.reset();
+            item = 0;
+          }
+        }
+        ASSERT_EQ(tracker.finish(), reference.finish());
+        EXPECT_EQ(tracker.finish(), 0u);
+      }
+    }
+  }
+}
+
+// The tracker divides by shifting, so it refuses sizes a shift cannot
+// divide by instead of silently miscounting; 0 still selects the defaults.
+TEST(Coalescing, RejectsNonPowerOfTwoSizes) {
+  EXPECT_THROW(CoalescingTracker(24, 32), hplrepro::InvalidArgument);
+  EXPECT_THROW(CoalescingTracker(32, 48), hplrepro::InvalidArgument);
+  EXPECT_NO_THROW(CoalescingTracker(0, 0));
+  EXPECT_NO_THROW(CoalescingTracker(1, 64));
 }
 
 }  // namespace

@@ -385,6 +385,56 @@ TEST_F(FusionTest, DeferredLaunchErrorSurfacesAtForcingPoint) {
   EXPECT_NO_THROW(flush());
 }
 
+TEST_F(FusionTest, TrapInsideFusedKernelSurfacesOnceAtForcingPoint) {
+  // The MapChainFusesIntoOneLaunch chain with a work-item fuel budget too
+  // small for even the fused kernel's entry block: the single fused launch
+  // traps, and the trap surfaces exactly once, at the host read that forces
+  // the chain — from the flush in sync mode, from the read's wait on the
+  // failed producer in async mode. Afterwards the runtime is usable, the
+  // same chain is bit-identical to the unfused sequence, and the failed
+  // launch is counted like any other.
+  constexpr std::size_t n = 512;
+  auto body = [&] {
+    Array<float, 1> a(n), t(n), out(n);
+    iota(a);
+    eval(plus_one)(t, a);
+    eval(times_two)(out, t);
+    std::vector<float> result(n);
+    for (std::size_t i = 0; i < n; ++i) result[i] = out.get(i);
+    return result;
+  };
+  const RunResult unfused = run_case(false, body);
+  const std::uint64_t saved_fuel = clsim::work_item_fuel();
+
+  for (const bool async : {true, false}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    clsim::set_async_enabled(async);
+    purge_kernel_cache();
+    reset_profile();
+    {
+      Array<float, 1> a(n), t(n), out(n);
+      iota(a);
+      eval(plus_one)(t, a);
+      eval(times_two)(out, t);
+      clsim::set_work_item_fuel(2);
+      EXPECT_THROW(out.get(0), hplrepro::clc::TrapError);
+      clsim::set_work_item_fuel(saved_fuel);
+      EXPECT_NO_THROW(flush());
+      EXPECT_NO_THROW(detail::Runtime::get().finish_all());
+    }
+    const ProfileSnapshot failed = profile();
+    EXPECT_EQ(failed.kernel_launches, 1u);  // the one fused launch
+    EXPECT_EQ(failed.kernel_cache_hits + failed.kernel_cache_misses,
+              failed.kernel_launches);
+
+    const RunResult rerun = run_case(true, body);
+    EXPECT_EQ(rerun.launches, 1u);
+    expect_bit_identical(rerun, unfused);
+    EXPECT_EQ(rerun.hits + rerun.misses, rerun.launches);
+  }
+  clsim::set_work_item_fuel(saved_fuel);
+}
+
 TEST_F(FusionTest, BuildOptionTokenDrivesTheToggle) {
   EXPECT_TRUE(fusion_enabled());
   set_kernel_build_options("-cl-fusion=off");
