@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "support/stopwatch.hpp"
 
 namespace {
 
@@ -37,14 +36,12 @@ void dot_chunk(Array<float, 1> v1, Array<float, 1> v2,
 
 template <typename Fn>
 double time_per_eval_us(int iterations, Fn&& body) {
-  // Measure host overhead only: subtract the wall time spent simulating.
-  const auto before = profile();
-  hplrepro::Stopwatch watch;
-  for (int i = 0; i < iterations; ++i) body();
-  const double wall = watch.seconds();
-  const auto after = profile();
-  return (wall - (after.sim_wall_seconds - before.sim_wall_seconds)) /
-         iterations * 1e6;
+  // Host overhead only, measured like every paper figure.
+  const hplrepro::benchsuite::Timings t =
+      hplrepro::benchsuite::time_hpl_section([&] {
+        for (int i = 0; i < iterations; ++i) body();
+      });
+  return t.host_seconds / iterations * 1e6;
 }
 
 }  // namespace

@@ -146,7 +146,6 @@ private:
   template <std::size_t... Is, typename... Actuals>
   void run(std::index_sequence<Is...>, Actuals&... actuals) {
     namespace clsim = hplrepro::clsim;
-    using detail::CachedKernel;
     using detail::Runtime;
 
     if (detail::KernelBuilder::current() != nullptr) {
@@ -162,31 +161,24 @@ private:
 
     Runtime& rt = Runtime::get();
     hplrepro::Stopwatch host_watch;
-    // Sampled once: decides every metrics-only clock read below, so a
-    // metrics-off eval pays nothing beyond this relaxed load. Stored on
-    // the node, so a deferred launch keeps the enqueue-time decision.
-    const bool metrics_on = hplrepro::metrics::enabled();
-    // Host trace-clock instant eval() entered: the start of the latency
-    // window the critical-path analyzer partitions.
-    const double eval_start_us = metrics_on ? hplrepro::trace::now_us() : 0.0;
-    double capture_us = 0, codegen_us = 0;
+    detail::DagNode node;
+    // Sampled once: decides every metrics-only clock read of this eval's
+    // launch, so a metrics-off eval pays nothing beyond this relaxed load.
+    // The start instant opens the latency window the critical-path
+    // analyzer partitions.
+    detail::LaunchRecord& record = node.record;
+    record.metrics_on = hplrepro::metrics::enabled();
+    if (record.metrics_on) record.start_us = hplrepro::trace::now_us();
 
     // --- Capture + code generation (first invocation only) ---
-    CachedKernel* cached = capture_kernel(
-        rt, std::index_sequence<Is...>{}, capture_us, codegen_us);
+    node.cached = capture_kernel(rt, std::index_sequence<Is...>{}, record);
 
     // --- Record the invocation as a DAG node ---
     // Everything the launch needs is resolved here (device entry, global
     // range, snapshotted scalar values), so eval() keeps its error
     // contract and later host mutations cannot change what was asked.
     // A co-executed node gets its device per chunk (launch_coexec).
-    detail::DagNode node;
-    node.cached = cached;
     node.dev = coexec ? nullptr : &rt.entry(device_);
-    node.metrics_on = metrics_on;
-    node.eval_start_us = eval_start_us;
-    node.capture_us = capture_us;
-    node.codegen_us = codegen_us;
     std::optional<clsim::NDRange> default_global;
     (record_arg<Params>(actuals, node, default_global), ...);
 
@@ -211,24 +203,25 @@ private:
       // launch_node.
       detail::launch_coexec(rt, node, devices_, policy_, split_dim_,
                             halo_rows_);
-    } else if (detail::fusion_active()) {
+    } else if (fusion_enabled()) {
       // Deferred: launches at the next forcing point, possibly fused.
       detail::record_node(std::move(node));
     } else {
-      // Eager (HPL_NO_FUSION=1 / -cl-fusion=off): the exact pre-DAG
-      // launch sequence, through the same launch path a flush uses.
+      // Eager (-cl-fusion=off / set_fusion_enabled(false)): the exact
+      // pre-DAG launch sequence, through the same launch path a flush
+      // uses.
       detail::launch_node(rt, node);
     }
   }
 
-  /// Capture + code generation (first invocation only); returns the cache
-  /// entry. Concurrent first invocations may both capture; insert_kernel
-  /// keeps the winner and the loser's work is discarded.
+  /// Capture + code generation (first invocation only), stamped on
+  /// `record`; returns the cache entry. Concurrent first invocations may
+  /// both capture; insert_kernel keeps the winner and the loser's work is
+  /// discarded.
   template <std::size_t... Is>
   detail::CachedKernel* capture_kernel(detail::Runtime& rt,
                                        std::index_sequence<Is...>,
-                                       double& capture_us,
-                                       double& codegen_us) {
+                                       detail::LaunchRecord& record) {
     using detail::CachedKernel;
     const void* key = reinterpret_cast<const void*>(fn_);
     CachedKernel* cached = rt.find_kernel(key);
@@ -244,7 +237,7 @@ private:
             Params(detail::FormalTag{}, static_cast<int>(Is))...};
         std::apply(fn_, formals);
         builder.check_balanced();
-        capture_us = watch.seconds() * 1e6;
+        record.capture_us = watch.seconds() * 1e6;
       }
       CachedKernel fresh;
       fresh.name = rt.kernel_name(key);
@@ -261,7 +254,7 @@ private:
         span.arg("kernel", fresh.name)
             .arg("source_bytes",
                  static_cast<std::uint64_t>(fresh.source.size()));
-        codegen_us = watch.seconds() * 1e6;
+        record.codegen_us = watch.seconds() * 1e6;
       }
       cached = &rt.insert_kernel(key, std::move(fresh));
     }

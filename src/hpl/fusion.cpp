@@ -15,7 +15,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -36,14 +35,6 @@ namespace {
 namespace clsim = hplrepro::clsim;
 
 // --- Toggles -------------------------------------------------------------------
-
-bool env_no_fusion() {
-  static const bool pinned = [] {
-    const char* e = std::getenv("HPL_NO_FUSION");
-    return e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0;
-  }();
-  return pinned;
-}
 
 std::atomic<bool>& runtime_enabled() {
   static std::atomic<bool> enabled{true};
@@ -398,10 +389,6 @@ struct Group {
   int next_temp = 0;
   std::uint64_t bytes_saved = 0;
   std::uint64_t rules = 0;
-  bool metrics_on = false;
-  double eval_start_us = 0;
-  double capture_us = 0;
-  double codegen_us = 0;
 };
 
 struct RewriteTotals {
@@ -469,10 +456,6 @@ bool try_append(Group& g, std::size_t node_idx, const DagNode& node,
     g.dev = node.dev;
     g.global = node.global;
     g.local = node.local;
-    g.metrics_on = node.metrics_on;
-    g.eval_start_us = node.eval_start_us;
-    g.capture_us = node.capture_us;
-    g.codegen_us = node.codegen_us;
   } else if (node.dev != g.dev || !ranges_equal(node.global, g.global) ||
              !locals_equal(node.local, g.local)) {
     return false;
@@ -724,10 +707,7 @@ void close_group(Runtime& rt, Group& g, std::vector<DagNode>& batch,
   fused.global = g.global;
   fused.local = g.local;
   fused.args = std::move(g.args);
-  fused.metrics_on = g.metrics_on;
-  fused.eval_start_us = g.eval_start_us;
-  fused.capture_us = g.capture_us;
-  fused.codegen_us = g.codegen_us;
+  fused.record = batch[g.members[0]].record;
   out.push_back(std::move(fused));
   totals.rules += g.rules;
   totals.bytes += g.bytes_saved;
@@ -739,7 +719,8 @@ void close_group(Runtime& rt, Group& g, std::vector<DagNode>& batch,
 /// Tries to inline the whole group into `node`'s grid-stride loop. On
 /// success `out_node` is the fused replacement for group+consumer and the
 /// group is consumed; on failure everything is untouched.
-bool try_fuse_reduce(Runtime& rt, Group& g, const DagNode& node,
+bool try_fuse_reduce(Runtime& rt, Group& g,
+                     const std::vector<DagNode>& batch, const DagNode& node,
                      const ReduceShape& rs, DagNode& out_node,
                      RewriteTotals& totals) {
   const CachedKernel& ck = *node.cached;
@@ -889,10 +870,7 @@ bool try_fuse_reduce(Runtime& rt, Group& g, const DagNode& node,
   out_node.global = node.global;
   out_node.local = node.local;
   out_node.args = std::move(args);
-  out_node.metrics_on = g.metrics_on || node.metrics_on;
-  out_node.eval_start_us = g.eval_start_us;
-  out_node.capture_us = g.capture_us;
-  out_node.codegen_us = g.codegen_us;
+  out_node.record = batch[g.members[0]].record;
   totals.rules += g.rules + g.members.size();  // one rule per map inlined
   totals.bytes += g.bytes_saved + reduce_bytes;
   g = Group{};
@@ -1033,7 +1011,7 @@ void rewrite_batch(Runtime& rt, std::vector<DagNode>& batch,
       const auto rs = parse_reduce(node);
       if (rs.has_value()) {
         DagNode fused;
-        if (try_fuse_reduce(rt, g, node, *rs, fused, totals)) {
+        if (try_fuse_reduce(rt, g, batch, node, *rs, fused, totals)) {
           out.push_back(std::move(fused));
           continue;
         }
@@ -1048,11 +1026,6 @@ void rewrite_batch(Runtime& rt, std::vector<DagNode>& batch,
 }  // namespace
 
 // --- Public/driver entry points ------------------------------------------------
-
-bool fusion_active() {
-  return !env_no_fusion() &&
-         runtime_enabled().load(std::memory_order_relaxed);
-}
 
 void record_node(DagNode node) {
   Dag& d = dag();
@@ -1132,6 +1105,8 @@ void set_fusion_enabled(bool enabled) {
   detail::runtime_enabled().store(enabled, std::memory_order_relaxed);
 }
 
-bool fusion_enabled() { return detail::fusion_active(); }
+bool fusion_enabled() {
+  return detail::runtime_enabled().load(std::memory_order_relaxed);
+}
 
 }  // namespace HPL

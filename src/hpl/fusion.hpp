@@ -32,8 +32,8 @@
 ///
 /// Every rewrite keeps the producer's store, so fused and unfused runs are
 /// bit-identical and RangeSet coherence marks are applied exactly as the
-/// unfused sequence would. `HPL_NO_FUSION=1`, `-cl-fusion=off` (build
-/// options) or set_fusion_enabled(false) restore the exact eager launch
+/// unfused sequence would. `-cl-fusion=off` (build options) or
+/// set_fusion_enabled(false) restore the exact eager launch
 /// sequence: the same launch_node() path runs either way, fusion merely
 /// decides *when* and on *what* it runs. Co-executed evals launch each of
 /// their chunks through launch_node() too (launch_coexec, launch.cpp).
@@ -47,6 +47,7 @@
 #include "coexec/coexec.hpp"
 #include "hpl/array_impl.hpp"
 #include "hpl/runtime.hpp"
+#include "hpl/trace.hpp"
 
 namespace HPL {
 
@@ -58,8 +59,7 @@ void flush();
 /// Runtime fusion toggle (also settable via the "-cl-fusion=off" build
 /// option). Turning fusion off flushes the DAG first, so the switch is a
 /// clean seam: everything recorded before it may fuse, everything after
-/// it launches eagerly. The HPL_NO_FUSION=1 environment variable wins
-/// over this flag (it pins fusion off for the whole process).
+/// it launches eagerly.
 void set_fusion_enabled(bool enabled);
 bool fusion_enabled();
 
@@ -124,18 +124,11 @@ struct DagNode {
   hplrepro::clsim::NDRange global;
   std::optional<hplrepro::clsim::NDRange> local;
   std::vector<NodeArg> args;
-  // Metrics context captured at eval() entry, threaded through to the
-  // launch so latency windows and critical-path records keep the
-  // user-perceived start instant.
-  bool metrics_on = false;
-  double eval_start_us = 0;
-  double capture_us = 0;
-  double codegen_us = 0;
+  /// The launch's record as eval() stamped it (trace.hpp), carried to the
+  /// launch so latency windows and critical paths keep the user-perceived
+  /// start instant. A fused node carries its first member's record.
+  LaunchRecord record;
 };
-
-/// True when eval() should record instead of launching: the runtime flag
-/// is on AND the process was not started with HPL_NO_FUSION=1.
-bool fusion_active();
 
 /// Records a deferred eval on the DAG.
 void record_node(DagNode node);

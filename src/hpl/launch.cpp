@@ -15,7 +15,6 @@
 #include "hpl/fusion.hpp"
 #include "hpl/trace.hpp"
 #include "support/error.hpp"
-#include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
 #include "support/trace.hpp"
 
@@ -81,79 +80,27 @@ ByteRange chunk_row_range(const ArrayImpl& impl, SplitMap map,
   return ByteRange{row_begin * row_bytes, row_end * row_bytes};
 }
 
-/// Completion-side accounting for one launch (or one co-execution chunk):
-/// its ledger record, and — when metrics were on at enqueue — the latency
-/// histogram and critical-path record, so the metrics invariants
-/// (launches == latency count == critical-path evals) hold
-/// launch-for-launch.
-void account_launch_settled(clsim::Event& event, const std::string& name,
-                            const std::string& dev_name, bool cache_hit,
-                            double host_s, bool metrics_on,
-                            std::vector<clsim::Event> transfers,
-                            double eval_start_us, double enqueue_us,
-                            double capture_us, double codegen_us,
-                            double build_us, double marshal_us) {
-  event.on_settled([name, dev_name, cache_hit, host_s, metrics_on,
-                    transfers = std::move(transfers), eval_start_us,
-                    enqueue_us, capture_us, codegen_us, build_us,
-                    marshal_us](const clsim::Event& e, bool failed) {
-    ledger_launch(name, dev_name, cache_hit, host_s, failed ? nullptr : &e);
-    if (failed) return;
-    // Gated on the *enqueue-time* decision so the launch counter, the
-    // latency histogram and the critical-path log always agree even if
-    // metrics are toggled while commands are in flight.
-    if (metrics_on) {
-      namespace metrics = hplrepro::metrics;
-      // All of this eval's commands completed at or before the kernel
-      // (transfers are ordered ahead of it), so the profiling accessors
-      // below never block.
-      const double done_us = e.host_ended_us();
-      static auto& latency = metrics::histogram("hpl.eval.latency_ns");
-      const double latency_us = done_us - eval_start_us;
-      latency.record_always(
-          latency_us > 0 ? static_cast<std::uint64_t>(latency_us * 1e3)
-                         : 0);
-      metrics::CriticalPathInput input;
-      input.kernel = name;
-      input.device = dev_name;
-      input.start_us = eval_start_us;
-      input.enqueue_us = enqueue_us;
-      input.done_us = done_us;
-      input.kernel_start_us = e.host_started_us();
-      input.kernel_end_us = done_us;
-      for (const auto& t : transfers) {
-        input.transfer_windows.emplace_back(t.host_started_us(),
-                                            t.host_ended_us());
-      }
-      input.capture_us = capture_us;
-      input.codegen_us = codegen_us;
-      input.build_us = build_us;
-      input.marshal_us = marshal_us;
-      metrics::record_critical_path(input);
-    }
-  });
-}
-
 }  // namespace
 
 clsim::Event launch_node(Runtime& rt, DagNode& node,
                          const ChunkLaunch* chunk) {
   hplrepro::Stopwatch host_watch;
-  const bool metrics_on = node.metrics_on;
   DeviceEntry& dev = *node.dev;
   CachedKernel& cached = *node.cached;
+  LaunchRecord record = node.record;
+  record.kernel = cached.name;
+  record.device = dev.device.name();
+  const bool metrics_on = record.metrics_on;
 
-  bool cache_hit = false;
   std::optional<hplrepro::Stopwatch> build_watch;
   if (metrics_on) build_watch.emplace();
-  BuiltKernel& built = rt.build_for(cached, dev, &cache_hit);
-  const double build_us = build_watch.has_value() && !cache_hit
-                              ? build_watch->seconds() * 1e6
-                              : 0.0;
+  BuiltKernel& built = rt.build_for(cached, dev, &record.cache_hit);
+  if (build_watch.has_value() && !record.cache_hit) {
+    record.build_us = build_watch->seconds() * 1e6;
+  }
 
   std::vector<BoundArray> arrays;
   TransferCapture transfer_capture;
-  double marshal_us = 0;
   clsim::Event event;
   {
     std::lock_guard<std::mutex> launch_lock(*built.launch_mutex);
@@ -198,7 +145,7 @@ clsim::Event launch_node(Runtime& rt, DagNode& node,
           }
         }
       }
-      if (watch.has_value()) marshal_us = watch->seconds() * 1e6;
+      if (watch.has_value()) record.marshal_us = watch->seconds() * 1e6;
     }
 
     // Hidden dimension-size arguments (rank >= 2), in parameter order.
@@ -230,15 +177,14 @@ clsim::Event launch_node(Runtime& rt, DagNode& node,
           *built.kernel, node.global, node.local, std::move(deps), slice);
     } catch (const hplrepro::clc::TrapError&) {
       // Sync mode surfaces the deferred execution error at the enqueue;
-      // account it exactly like an async failed launch, then rethrow.
-      ledger_launch(cached.name, dev.device.name(), cache_hit,
-                    /*host_seconds=*/0.0, /*event=*/nullptr);
+      // settle it exactly like an async failed launch, then rethrow.
+      settle_launch(record, /*event=*/nullptr);
       throw;
     }
     if (span.active()) {
       span.arg("kernel", cached.name)
           .arg("device", dev.device.name())
-          .arg("cache_hit", static_cast<std::uint64_t>(cache_hit))
+          .arg("cache_hit", static_cast<std::uint64_t>(record.cache_hit))
           .arg("opt_report", built.program->opt_report().summary());
       if (slice.has_value()) {
         span.arg("slice_begin",
@@ -262,25 +208,15 @@ clsim::Event launch_node(Runtime& rt, DagNode& node,
     bound.copy->last_event = event;  // incoming d2d must order after us
   }
 
-  const double enqueue_us = metrics_on ? hplrepro::trace::now_us() : 0.0;
+  if (metrics_on) record.enqueue_us = hplrepro::trace::now_us();
   const double sim_wall =
       clsim::async_enabled() ? 0.0 : event.wall_seconds();
-  const double host_s = host_watch.seconds() - sim_wall;
-  account_launch_settled(event, cached.name, dev.device.name(), cache_hit,
-                         host_s, metrics_on, transfer_capture.take(),
-                         node.eval_start_us, enqueue_us, node.capture_us,
-                         node.codegen_us, build_us, marshal_us);
-  if (metrics_on) {
-    namespace metrics = hplrepro::metrics;
-    static auto& launches = metrics::counter("hpl.eval.launches");
-    static auto& hits = metrics::counter("hpl.cache.hit");
-    static auto& misses = metrics::counter("hpl.cache.miss");
-    static auto& host_ns = metrics::histogram("hpl.eval.host_ns");
-    launches.add_always(1);
-    (cache_hit ? hits : misses).add_always(1);
-    host_ns.record_always(
-        host_s > 0 ? static_cast<std::uint64_t>(host_s * 1e9) : 0);
-  }
+  record.host_seconds = host_watch.seconds() - sim_wall;
+  record.transfers = transfer_capture.take();
+  event.on_settled([record = std::move(record)](const clsim::Event& e,
+                                                bool failed) mutable {
+    settle_launch(record, failed ? nullptr : &e);
+  });
   return event;
 }
 
@@ -384,9 +320,10 @@ void launch_coexec(Runtime& rt, DagNode& node,
   const coexec::LaunchFn launch_fn =
       [&](const coexec::Chunk& c) -> std::function<double()> {
     if (!launched.empty()) {
-      node.eval_start_us = node.metrics_on ? hplrepro::trace::now_us() : 0.0;
-      node.capture_us = 0;
-      node.codegen_us = 0;
+      LaunchRecord& r = node.record;
+      r.start_us = r.metrics_on ? hplrepro::trace::now_us() : 0.0;
+      r.capture_us = 0;
+      r.codegen_us = 0;
     }
     node.dev = entries[static_cast<std::size_t>(c.slot)];
     chunk.slice.group_begin = c.begin;

@@ -194,8 +194,8 @@ void metrics_to(const std::string& path) {
 }
 
 std::string metrics_report() {
-  // Quiesce so in-flight completion callbacks (latency, critical path)
-  // have landed before the shards are merged.
+  // Quiesce so in-flight completion callbacks (settle_launch) have landed
+  // before the registry is read.
   detail::Runtime::get().finish_all();
   return hplrepro::metrics::report(hplrepro::metrics::snapshot());
 }
@@ -207,23 +207,47 @@ bool metrics_write(const std::string& path) {
 
 namespace detail {
 
-void ledger_launch(const std::string& kernel, const std::string& device,
-                   bool cache_hit, double host_seconds,
-                   const hplrepro::clsim::Event* event) {
-  Ledger& l = ledger();
-  std::lock_guard<std::mutex> lock(l.mu);
-  KernelProfile& p = kernel_row(l, kernel, device);
-  p.launches += 1;
-  if (cache_hit) p.cache_hits += 1;
-  l.host_seconds += host_seconds;
+void settle_launch(LaunchRecord& r, const hplrepro::clsim::Event* event) {
+  {
+    Ledger& l = ledger();
+    std::lock_guard<std::mutex> lock(l.mu);
+    KernelProfile& p = kernel_row(l, r.kernel, r.device);
+    p.launches += 1;
+    if (r.cache_hit) p.cache_hits += 1;
+    l.host_seconds += r.host_seconds;
+    if (event != nullptr) {
+      // The event has settled, so its profiling accessors do not block.
+      const auto& stats = event->stats();
+      p.sim += event->timing();
+      p.ops += stats.total_ops();
+      p.fused_ops += stats.fused_ops;
+      p.global_bytes += stats.global_load_bytes + stats.global_store_bytes;
+      l.sim_wall_seconds += event->wall_seconds();
+    }
+  }
+  if (!r.metrics_on) return;
+  namespace metrics = hplrepro::metrics;
+  static auto& launches = metrics::counter("hpl.eval.launches");
+  static auto& hits = metrics::counter("hpl.cache.hit");
+  static auto& misses = metrics::counter("hpl.cache.miss");
+  static auto& host_ns = metrics::histogram("hpl.eval.host_ns");
+  static auto& latency = metrics::histogram("hpl.eval.latency_ns");
+  auto to_ns = [](double us) {
+    return us > 0 ? static_cast<std::uint64_t>(us * 1e3) : 0;
+  };
+  launches.add_always(1);
+  (r.cache_hit ? hits : misses).add_always(1);
+  host_ns.record_always(to_ns(r.host_seconds * 1e6));
   if (event == nullptr) return;
-  // The event has settled, so its profiling accessors do not block.
-  const auto& stats = event->stats();
-  p.sim += event->timing();
-  p.ops += stats.total_ops();
-  p.fused_ops += stats.fused_ops;
-  p.global_bytes += stats.global_load_bytes + stats.global_store_bytes;
-  l.sim_wall_seconds += event->wall_seconds();
+  // Every command of the launch completed at or before the kernel
+  // (transfers are ordered ahead of it), so these accessors never block.
+  r.kernel_start_us = event->host_started_us();
+  r.kernel_end_us = r.done_us = event->host_ended_us();
+  for (const auto& t : r.transfers) {
+    r.transfer_windows.emplace_back(t.host_started_us(), t.host_ended_us());
+  }
+  latency.record_always(to_ns(r.done_us - r.start_us));
+  metrics::record_critical_path(r);
 }
 
 void ledger_build(const std::string& kernel, const std::string& device) {

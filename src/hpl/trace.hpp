@@ -9,14 +9,19 @@
 ///     launches, cache hits, builds, simulated time split by
 ///     timing-model component, kernel memory traffic, fused-op ratio —
 ///     one row of transfer totals per device, and two ledger-level totals
-///     (host seconds, simulation wall seconds). Every launch, build and
-///     transfer reaches it through exactly one detail::ledger_* call, and
-///     profile(), kernel_profiles(), transfer_profiles() and
-///     profiler_report() are all views of it, so they agree by
-///     construction;
+///     (host seconds, simulation wall seconds). profile(),
+///     kernel_profiles(), transfer_profiles() and profiler_report() are
+///     all views of it, so they agree by construction;
 ///   * `profiler_report()`, a human-readable decomposition (host vs kernel
 ///     vs transfer, then per kernel per device) rendered with
 ///     support/table.
+///
+/// Each launch is one detail::LaunchRecord: eval() stamps it, launch_node()
+/// completes it, and detail::settle_launch() writes it out once the
+/// command settles — the ledger row, and (when metrics were on at eval())
+/// the launch counters, host-cost and latency histograms and the
+/// critical path. Builds and transfers reach the ledger through
+/// detail::ledger_build / detail::ledger_transfer.
 ///
 /// Span-level tracing (Chrome trace JSON) lives in support/trace.hpp;
 /// `HPL::trace_to(path)` is the library-level switch, equivalent to
@@ -28,6 +33,7 @@
 
 #include "clsim/runtime.hpp"
 #include "clsim/timing.hpp"
+#include "support/metrics.hpp"
 
 namespace HPL {
 
@@ -94,15 +100,34 @@ bool metrics_write(const std::string& path);
 
 namespace detail {
 
-/// Records one launch — a command that reached a queue — when it settles.
-/// `event` is the healthy settled event, or nullptr for a command that
-/// failed (a VM trap): a failed launch still counts, with its cache
-/// outcome, but contributes no simulated time or kernel statistics (a
-/// failed event's profiling accessors rethrow its error). `host_seconds`
-/// is the launch's own host window (build, marshal, enqueue).
-void ledger_launch(const std::string& kernel, const std::string& device,
-                   bool cache_hit, double host_seconds,
-                   const hplrepro::clsim::Event* event);
+/// Everything one launch observes, on the host trace clock. eval() stamps
+/// `metrics_on`, `start_us`, `capture_us` and `codegen_us` (the record
+/// rides on the DagNode until the launch); launch_node() adds the kernel,
+/// device, cache outcome, build/marshal/enqueue stamps, its host window
+/// and the transfers it caused; settle_launch() adds the completion
+/// stamps. The critical-path fields are the record's own, not a copy.
+struct LaunchRecord : hplrepro::metrics::CriticalPathInput {
+  /// Metrics were on at eval() entry. Decides every metrics-only clock
+  /// read and registry record of the launch, so the launch counter, the
+  /// latency histogram and the critical-path log agree even when metrics
+  /// are toggled while the launch is in flight.
+  bool metrics_on = false;
+  bool cache_hit = false;
+  /// launch_node's own host window: build, marshal, enqueue.
+  double host_seconds = 0;
+  /// The coherence transfers the launch enqueued (critical-path windows).
+  std::vector<hplrepro::clsim::Event> transfers;
+};
+
+/// Writes every record of one settled launch — a command that reached a
+/// queue — from one place: the ledger row; with `record.metrics_on`, the
+/// hpl.eval.launches, hpl.cache.hit|miss and hpl.eval.host_ns records;
+/// and, for a healthy launch only, hpl.eval.latency_ns and the critical
+/// path. `event` is the settled healthy event, or nullptr for a command
+/// that failed (a VM trap): a failed launch still counts, with its cache
+/// outcome, but contributes no simulated time, kernel statistics or
+/// latency (a failed event's profiling accessors rethrow its error).
+void settle_launch(LaunchRecord& record, const hplrepro::clsim::Event* event);
 
 /// Records one build of `kernel` for `device`.
 void ledger_build(const std::string& kernel, const std::string& device);

@@ -18,6 +18,7 @@
 #include "hpl/trace.hpp"
 #include "scenario/workloads.hpp"
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace hplrepro::scenario {
 
@@ -216,22 +217,6 @@ private:
   std::string options_;
   bool fusion_;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "support/metrics.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cinttypes>
@@ -40,14 +41,6 @@ std::int64_t flight_now_ticks() {
 #else
   return MonotonicClock::now().time_since_epoch().count();
 #endif
-}
-
-// --- Thread identity ---------------------------------------------------------
-
-int thread_index() {
-  static std::atomic<int> next{0};
-  thread_local int index = next.fetch_add(1, std::memory_order_relaxed);
-  return index;
 }
 
 // --- Flight recorder state ---------------------------------------------------
@@ -140,6 +133,7 @@ struct Collector {
 
   std::mutex flight_mu;  // ring registry + retained dump
   std::vector<std::unique_ptr<FlightRing>> rings;
+  int next_ring_id = 0;
   std::atomic<bool> flight_dumped{false};
   std::atomic<std::uint64_t> flight_dumps{0};
   FlightDump flight_last;
@@ -177,37 +171,6 @@ Collector& collector() {
   // would leave both reading freed state.
   static Collector* instance = new Collector();
   return *instance;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
 }
 
 // --- Interval arithmetic for critical-path attribution -----------------------
@@ -288,23 +251,6 @@ void reset() {
   c.cp_totals = CriticalPathTotals{};
 }
 
-// --- Counter -----------------------------------------------------------------
-
-void Counter::add_always(std::uint64_t n) {
-  cells_[static_cast<std::size_t>(thread_index()) % kStripes].v.fetch_add(
-      n, std::memory_order_relaxed);
-}
-
-std::uint64_t Counter::value() const {
-  std::uint64_t sum = 0;
-  for (const Cell& cell : cells_) sum += cell.v.load(std::memory_order_relaxed);
-  return sum;
-}
-
-void Counter::reset() {
-  for (Cell& cell : cells_) cell.v.store(0, std::memory_order_relaxed);
-}
-
 // --- Gauge -------------------------------------------------------------------
 
 void Gauge::bump_max(std::int64_t candidate) {
@@ -333,16 +279,14 @@ void Gauge::reset() {
 
 // --- Histogram ---------------------------------------------------------------
 
-struct Histogram::Shard {
+struct Histogram::Block {
   std::atomic<std::uint64_t> sum{0};
   std::atomic<std::uint64_t> min{UINT64_MAX};
   std::atomic<std::uint64_t> max{0};
   std::array<std::atomic<std::uint64_t>, kBucketCount> buckets{};
 };
 
-Histogram::~Histogram() {
-  for (auto& slot : shards_) delete slot.load(std::memory_order_acquire);
-}
+Histogram::~Histogram() { delete block_.load(std::memory_order_acquire); }
 
 std::size_t Histogram::bucket_index(std::uint64_t value) {
   if (value < kSubCount) return static_cast<std::size_t>(value);
@@ -366,83 +310,63 @@ std::uint64_t Histogram::bucket_width(std::size_t index) {
   return 1ull << ((index - kSubCount) / kSubCount);
 }
 
-Histogram::Shard& Histogram::local_shard() {
-  const std::size_t slot =
-      static_cast<std::size_t>(thread_index()) % kMaxShards;
-  Shard* shard = shards_[slot].load(std::memory_order_acquire);
-  if (shard == nullptr) {
-    auto* fresh = new Shard();
-    if (shards_[slot].compare_exchange_strong(shard, fresh,
-                                              std::memory_order_acq_rel)) {
-      shard = fresh;
+void Histogram::record_always(std::uint64_t value) {
+  Block* b = block_.load(std::memory_order_acquire);
+  if (b == nullptr) {
+    auto* fresh = new Block();
+    if (block_.compare_exchange_strong(b, fresh, std::memory_order_acq_rel)) {
+      b = fresh;
     } else {
-      delete fresh;  // another thread on the same slot won the race
+      delete fresh;  // another thread's first sample won the race
     }
   }
-  return *shard;
-}
-
-void Histogram::record_always(std::uint64_t value) {
-  Shard& s = local_shard();
-  s.sum.fetch_add(value, std::memory_order_relaxed);
-  std::uint64_t seen = s.min.load(std::memory_order_relaxed);
-  while (value < seen && !s.min.compare_exchange_weak(
+  b->sum.fetch_add(value, std::memory_order_relaxed);
+  std::uint64_t seen = b->min.load(std::memory_order_relaxed);
+  while (value < seen && !b->min.compare_exchange_weak(
                              seen, value, std::memory_order_relaxed)) {
   }
-  seen = s.max.load(std::memory_order_relaxed);
-  while (value > seen && !s.max.compare_exchange_weak(
+  seen = b->max.load(std::memory_order_relaxed);
+  while (value > seen && !b->max.compare_exchange_weak(
                              seen, value, std::memory_order_relaxed)) {
   }
-  s.buckets[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+  b->buckets[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
 }
 
 void Histogram::reset() {
-  for (auto& slot : shards_) {
-    Shard* shard = slot.load(std::memory_order_acquire);
-    if (shard == nullptr) continue;
-    shard->sum.store(0, std::memory_order_relaxed);
-    shard->min.store(UINT64_MAX, std::memory_order_relaxed);
-    shard->max.store(0, std::memory_order_relaxed);
-    for (auto& b : shard->buckets) b.store(0, std::memory_order_relaxed);
-  }
+  Block* b = block_.load(std::memory_order_acquire);
+  if (b == nullptr) return;
+  b->sum.store(0, std::memory_order_relaxed);
+  b->min.store(UINT64_MAX, std::memory_order_relaxed);
+  b->max.store(0, std::memory_order_relaxed);
+  for (auto& n : b->buckets) n.store(0, std::memory_order_relaxed);
 }
 
-/// Snapshot-side merge across shards (friend of Histogram).
-struct HistogramMerge {
-  static HistogramSnapshot merge(const Histogram& h, const std::string& name,
-                                 const std::string& unit) {
-    HistogramSnapshot out;
-    out.name = name;
-    out.unit = unit;
-    std::vector<std::uint64_t> merged(Histogram::kBucketCount, 0);
-    std::uint64_t min = UINT64_MAX;
-    for (const auto& slot : h.shards_) {
-      const Histogram::Shard* shard = slot.load(std::memory_order_acquire);
-      if (shard == nullptr) continue;
-      out.sum +=
-          static_cast<double>(shard->sum.load(std::memory_order_relaxed));
-      min = std::min(min, shard->min.load(std::memory_order_relaxed));
-      out.max = std::max(out.max, shard->max.load(std::memory_order_relaxed));
-      for (std::size_t i = 0; i < merged.size(); ++i) {
-        merged[i] += shard->buckets[i].load(std::memory_order_relaxed);
-      }
-    }
+HistogramSnapshot Histogram::snapshot(std::string name,
+                                      std::string unit) const {
+  HistogramSnapshot out;
+  out.name = std::move(name);
+  out.unit = std::move(unit);
+  const Block* b = block_.load(std::memory_order_acquire);
+  if (b != nullptr) {
+    out.sum = static_cast<double>(b->sum.load(std::memory_order_relaxed));
+    out.max = b->max.load(std::memory_order_relaxed);
     // Count derives from the buckets so "bucket counts sum to the sample
     // count" holds by construction, even for a mid-recording snapshot.
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-      if (merged[i] == 0) continue;
-      out.count += merged[i];
-      out.buckets.emplace_back(Histogram::bucket_lower(i), merged[i]);
+    for (std::size_t i = 0; i < kBucketCount; ++i) {
+      const std::uint64_t n = b->buckets[i].load(std::memory_order_relaxed);
+      if (n == 0) continue;
+      out.count += n;
+      out.buckets.emplace_back(bucket_lower(i), n);
     }
-    out.min = (out.count == 0) ? 0 : min;
-    out.mean = out.count == 0 ? 0 : out.sum / static_cast<double>(out.count);
-    out.p50 = out.quantile(0.50);
-    out.p90 = out.quantile(0.90);
-    out.p99 = out.quantile(0.99);
-    out.p999 = out.quantile(0.999);
-    return out;
+    if (out.count != 0) out.min = b->min.load(std::memory_order_relaxed);
   }
-};
+  out.mean = out.count == 0 ? 0 : out.sum / static_cast<double>(out.count);
+  out.p50 = out.quantile(0.50);
+  out.p90 = out.quantile(0.90);
+  out.p99 = out.quantile(0.99);
+  out.p999 = out.quantile(0.999);
+  return out;
+}
 
 double HistogramSnapshot::quantile(double q) const {
   if (count == 0) return 0;
@@ -578,8 +502,7 @@ Snapshot snapshot() {
     }
     out.histograms.reserve(c.histograms.size());
     for (const auto& [name, hist] : c.histograms) {
-      out.histograms.push_back(
-          HistogramMerge::merge(*hist.first, name, hist.second));
+      out.histograms.push_back(hist.first->snapshot(name, hist.second));
     }
   }
   {
@@ -768,7 +691,7 @@ FlightRing& local_ring() {
     std::lock_guard<std::mutex> lock(c.flight_mu);
     c.rings.push_back(std::make_unique<FlightRing>());
     ring = c.rings.back().get();
-    ring->thread_id = thread_index();
+    ring->thread_id = c.next_ring_id++;
   }
   return *ring;
 }

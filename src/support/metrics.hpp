@@ -9,12 +9,14 @@
 /// evals": p50/p90/p99/p99.9 eval latency, per-queue command dwell times,
 /// cache hit rates, VM throughput.
 ///
-/// Recording is designed for hot paths under concurrency:
-///   * every record() on a histogram lands in a per-thread *shard* (a
-///     plain array of relaxed atomics), so threads never contend on a
-///     lock or a shared cache line; shards are merged only on snapshot();
-///   * counters stripe their cells the same way; gauges are single
-///     atomics (they are updated once per command, not per sample);
+/// Recording is sized to the traffic it sees. Every registered metric
+/// records once per launch, command, chunk, flush or stall — never per
+/// work-item or per VM op — so a few hundred records per second reach the
+/// registry even on the busiest benchmark workload:
+///   * a counter is one relaxed atomic, a gauge two;
+///   * a histogram is one bucket block (buckets, sum, min, max), allocated
+///     on its first sample, so a histogram that never records costs no
+///     bucket memory;
 ///   * the whole layer is inert unless enabled: `enabled()` is one
 ///     relaxed atomic load, and every record path bails out first thing.
 ///
@@ -33,7 +35,6 @@
 ///     transfer / kernel segments from the event graph's host-clock
 ///     windows, so the segments sum exactly to the eval latency.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -65,26 +66,22 @@ void reset();
 
 // --- Metric types ------------------------------------------------------------
 
-/// A monotonically increasing counter. add() stripes over per-thread
-/// cells so concurrent increments do not share a cache line.
+/// A monotonically increasing counter.
 class Counter {
 public:
-  static constexpr int kStripes = 16;
-
   void add(std::uint64_t n = 1) {
     if (!enabled()) return;
     add_always(n);
   }
   /// Unconditional variant for call sites that pre-check enabled().
-  void add_always(std::uint64_t n);
-  std::uint64_t value() const;
-  void reset();
+  void add_always(std::uint64_t n) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void reset() { value_.store(0, std::memory_order_relaxed); }
 
 private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Cell, kStripes> cells_{};
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// An instantaneous value (queue depth, utilization %) with a high-water
@@ -102,6 +99,8 @@ private:
   std::atomic<std::int64_t> value_{0};
   std::atomic<std::int64_t> max_{0};
 };
+
+struct HistogramSnapshot;
 
 /// A log-bucketed (HDR-style) histogram of non-negative integer samples
 /// (nanoseconds by convention). Buckets are exact below 2^kSubBits and
@@ -142,13 +141,12 @@ public:
 
   void reset();
 
-private:
-  friend struct HistogramMerge;
-  struct Shard;
-  Shard& local_shard();
+  /// Name, unit, count, sum, min, max, quantiles and non-empty buckets.
+  HistogramSnapshot snapshot(std::string name, std::string unit) const;
 
-  static constexpr int kMaxShards = 256;
-  std::array<std::atomic<Shard*>, kMaxShards> shards_{};
+private:
+  struct Block;  // buckets, sum, min, max
+  std::atomic<Block*> block_{nullptr};  // allocated by the first sample
 };
 
 // --- Registry ----------------------------------------------------------------
@@ -278,7 +276,7 @@ struct Snapshot {
   FlightDump flight;
 };
 
-/// Merges every shard and returns a consistent copy of all metrics.
+/// Returns a copy of every metric and the critical-path log.
 Snapshot snapshot();
 
 /// Renders the snapshot as the "hplrepro-metrics-v1" JSON document.

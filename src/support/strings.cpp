@@ -80,4 +80,35 @@ std::string float_literal(float value) {
   return round_trip_literal(value, 9, /*is_float=*/true) + "f";
 }
 
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string json_number(double value) {
+  if (!std::isfinite(value)) return "0";
+  std::ostringstream os;
+  os.precision(12);
+  os << value;
+  return os.str();
+}
+
 }  // namespace hplrepro

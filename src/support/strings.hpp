@@ -2,8 +2,8 @@
 #define HPLREPRO_SUPPORT_STRINGS_HPP
 
 /// \file strings.hpp
-/// Small string utilities shared by the clc diagnostics, HPL code generator
-/// and the benchmark table printers.
+/// Small string utilities shared by the clc diagnostics, HPL code generator,
+/// the benchmark table printers and the JSON exporters.
 
 #include <string>
 #include <string_view>
@@ -30,6 +30,14 @@ std::string format_double(double value, int digits = 4);
 /// OpenCL C source (always contains a '.', 'e', or inf/nan spelling).
 std::string double_literal(double value);
 std::string float_literal(float value);
+
+/// Escapes `text` for a JSON string literal: quote, backslash and every
+/// control character.
+std::string json_escape(std::string_view text);
+
+/// A JSON number with 12 significant digits; nan and inf render as 0, so
+/// an exported document stays valid JSON.
+std::string json_number(double value);
 
 }  // namespace hplrepro
 

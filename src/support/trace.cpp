@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "support/stopwatch.hpp"
+#include "support/strings.hpp"
 
 namespace hplrepro::trace {
 
@@ -56,37 +57,6 @@ Collector& collector() {
   // *first* and write_pending would read freed state).
   static Collector* instance = new Collector();
   return *instance;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
 }
 
 /// Track name for the calling thread ("host" for the first one seen, so

@@ -10,6 +10,8 @@
 #include <sstream>
 #include <string>
 
+#include "clc/vm.hpp"
+#include "clsim/executor.hpp"
 #include "clsim/runtime.hpp"
 #include "hpl/HPL.h"
 #include "support/metrics.hpp"
@@ -173,6 +175,54 @@ TEST_F(MetricsEvalTest, MetricsWriteProducesSchemaDocument) {
   EXPECT_EQ(brackets, 0);
 
   EXPECT_FALSE(HPL::metrics_write("/nonexistent-dir/metrics.json"));
+}
+
+TEST_F(MetricsEvalTest, TrappedLaunchCountsOnceInEveryView) {
+  // A launch that traps has reached a queue, so the ledger and the
+  // registry both count it, whichever mode surfaces the trap: the enqueue
+  // in sync mode, the next quiesce in async mode.
+  ScopedFusionDisable eager;
+  const std::uint64_t saved_fuel = clsim::work_item_fuel();
+  struct FuelGuard {
+    std::uint64_t fuel;
+    ~FuelGuard() { clsim::set_work_item_fuel(fuel); }
+  } restore{saved_fuel};
+  constexpr std::size_t n = 512;
+
+  for (const bool async : {true, false}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    clsim::set_async_enabled(async);
+    purge_kernel_cache();
+    reset_profile();
+    metrics::reset();
+    {
+      Array<float, 1> data(n);
+      for (std::size_t i = 0; i < n; ++i) data(i) = 1.0f;
+      clsim::set_work_item_fuel(2);
+      EXPECT_THROW(
+          {
+            eval(triple)(data);
+            detail::Runtime::get().finish_all();
+          },
+          hplrepro::clc::TrapError);
+      clsim::set_work_item_fuel(saved_fuel);
+      EXPECT_NO_THROW(detail::Runtime::get().finish_all());
+    }
+
+    const ProfileSnapshot prof = profile();
+    const metrics::Snapshot snap = metrics::snapshot();
+    EXPECT_EQ(prof.kernel_launches, 1u);
+    EXPECT_EQ(counter_value(snap, "hpl.eval.launches"), 1u);
+    EXPECT_EQ(counter_value(snap, "hpl.cache.hit") +
+                  counter_value(snap, "hpl.cache.miss"),
+              1u);
+
+    // The runtime stays usable: a follow-up eval computes normally.
+    Array<float, 1> again(n);
+    for (std::size_t i = 0; i < n; ++i) again(i) = 1.0f;
+    EXPECT_NO_THROW(eval(triple)(again));
+    EXPECT_EQ(again(n - 1), 3.0f);
+  }
 }
 
 TEST_F(MetricsEvalTest, ReportIsNanFreeEvenBeforeAnyEval) {
