@@ -187,8 +187,8 @@ void print_opt_pipeline_table() {
 // kRepeats to shed scheduler noise) for the stack interpreter, the
 // register interpreter with work-group compilation off, and the default
 // threaded+wg-loops configuration. Cross-checks that all three produced
-// bit-identical outputs and identical dynamic op totals — the lowering
-// and work-group-compilation contracts. Besides the overall geomeans, a
+// bit-identical outputs and field-identical ExecStats — the lowering and
+// work-group-compilation contracts. Besides the overall geomeans, a
 // "geomean_barrier" row reports the wg-loops speedup over the dedicated
 // barrier-kernel rows (barrier_kernel_names()), whose geometries make
 // group scheduling — what region looping replaces — the dominant cost.
@@ -215,10 +215,8 @@ void print_interp_table(hplrepro::bench::JsonReporter& json) {
       const bs::CorpusRun w =
           bs::run_corpus_kernel(names[i], device, "-O2 -cl-interp=threaded");
       identical = identical && s.outputs == t.outputs &&
-                  s.outputs == w.outputs &&
-                  s.stats.total_ops() == t.stats.total_ops() &&
-                  s.stats.total_ops() == w.stats.total_ops() &&
-                  s.stats.barriers_executed == w.stats.barriers_executed;
+                  s.outputs == w.outputs && s.stats == t.stats &&
+                  s.stats == w.stats;
       stack_wall = r == 0 ? s.kernel_wall_seconds
                           : std::min(stack_wall, s.kernel_wall_seconds);
       threaded_wall = r == 0 ? t.kernel_wall_seconds

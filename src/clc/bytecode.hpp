@@ -282,27 +282,46 @@ struct RegFunction {
 /// Work-group compilation metadata for one kernel (pocl-style work-item
 /// loops): the register code is split at barriers into regions, and the
 /// registers live across any region boundary get per-item spill slots so
-/// a whole group can run on one shared activation. Produced by
-/// analyze_wg_loops (wgloops.hpp) when -cl-wg-loops is on.
+/// a whole group can run on one shared activation. Group-invariant values
+/// are computed once per group and phase in per-region prologues instead
+/// of once per item. Produced by analyze_wg_loops (wgloops.hpp) when
+/// -cl-wg-loops is on.
 struct WgInfo {
   /// A kernel is eligible when every barrier sits in its own top-level
   /// code (no barrier reachable through a Call) and its block structure is
   /// well formed. Ineligible kernels fall back to per-item activations.
   bool eligible = false;
+  /// Why the kernel is ineligible (a static string for the build log);
+  /// nullptr when eligible, and for helpers, which are never analysed.
+  const char* ineligible_reason = nullptr;
   /// Number of barrier-delimited regions (resume points): 1 for
   /// barrier-free kernels, barriers + 1 otherwise.
   std::uint32_t region_count = 0;
+  /// The kernel as the work-group VM runs it: the module's RegFunction
+  /// with every hoisted instruction moved out of its block into the
+  /// prologues below, and hoisted results whose register other writers
+  /// share renamed to fresh registers past that function's num_regs.
+  /// Blocks keep their ids, terminators, histograms and fuel, so ExecStats
+  /// and fuel are charged per block entry exactly as before. The constant
+  /// pool is empty here: it stays in the original function's pool
+  /// registers, which this copy addresses unchanged.
+  RegFunction fn;
+  /// Static count of instructions moved into prologues (of the original
+  /// function's code size), for the build log.
+  std::uint32_t hoisted = 0;
   /// Sorted union of the item-varying registers live at any region entry
-  /// (block 0 and every barrier resume block). Only these get per-item
-  /// spill slots; everything else lives in the shared file. Registers
-  /// never written by any instruction (kernel arguments, the constant
-  /// pool and never-assigned zeros) are uniform across the group — they
-  /// are installed once per group and excluded from all spill traffic. A
-  /// register's position in this vector is its spill column.
+  /// (block 0 and every barrier resume block) of `fn`. Only these get
+  /// per-item spill slots; everything else lives in the shared file.
+  /// Registers no instruction of `fn`'s blocks writes (kernel arguments,
+  /// the constant pool, never-assigned zeros and the values only
+  /// prologues write) are uniform across the group — they are installed
+  /// once per group or computed by the prologues and excluded from all
+  /// spill traffic. A register's position in this vector is its spill
+  /// column.
   std::vector<std::uint16_t> live_regs;
-  /// Per-block index into `entry_lists`/`save_lists`, -1 for blocks that
-  /// are not region entries. Block 0 and every barrier resume block get
-  /// an entry.
+  /// Per-block index into `entry_lists`/`save_lists`/`prologue_start`, -1
+  /// for blocks that are not region entries. Block 0 and every barrier
+  /// resume block get an entry.
   std::vector<std::int32_t> entry_index;
   /// (register, spill column) restore list per region entry: the
   /// item-varying registers live into that block. The VM restores this
@@ -317,6 +336,14 @@ struct WgInfo {
   /// dirty it), so they are skipped.
   std::vector<std::vector<std::pair<std::uint16_t, std::uint16_t>>>
       save_lists;
+  /// All prologues back to back. The prologue of region entry B holds the
+  /// instructions hoisted from B's region heads in program order and ends
+  /// in `Br B`, which enters B with its usual accounting. The VM runs it
+  /// once per group and phase, before the first item enters the region.
+  std::vector<RegInstr> prologues;
+  /// Per region entry: offset of its prologue in `prologues`, -1 when
+  /// nothing was hoisted from its heads.
+  std::vector<std::int32_t> prologue_start;
 };
 
 /// A compiled translation unit plus its entry-point table.

@@ -86,9 +86,14 @@ CompileResult compile(std::string_view source, const CompileOptions& options) {
       if (!result.build_log.empty()) result.build_log += '\n';
       result.build_log += note;
     } else if (options.wg_loops) {
-      // Work-group compilation: region/liveness analysis over the register
-      // form so eligible kernels run as work-item loops (WorkGroupVM).
-      analyze_wg_loops(result.module);
+      // Work-group compilation: region, uniformity and liveness analysis
+      // over the register form so eligible kernels run as work-item loops
+      // (WorkGroupVM). It logs one reason-code line per kernel.
+      const std::string wg_log = analyze_wg_loops(result.module);
+      if (!wg_log.empty()) {
+        if (!result.build_log.empty()) result.build_log += '\n';
+        result.build_log += wg_log;
+      }
     }
   }
   return result;

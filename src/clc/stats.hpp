@@ -35,6 +35,10 @@ struct ExecStats {
   std::uint64_t items = 0;
   std::uint64_t groups = 0;
 
+  /// Field-by-field: interpreters and execution modes must agree on every
+  /// counter, since the timing model reads them all.
+  bool operator==(const ExecStats&) const = default;
+
   std::uint64_t total_ops() const {
     return control_ops + int_ops + float_ops + double_ops + special_ops;
   }

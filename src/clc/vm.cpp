@@ -220,6 +220,13 @@ void WorkItemVM::reset(const Module& module, const CompiledFunction& kernel,
   barrier_flags_ = 0;
 }
 
+std::uint64_t WorkItemVM::barrier_site() const {
+  const Frame& frame = frames_.back();
+  const auto fn =
+      static_cast<std::uint64_t>(frame.fn - module_->functions.data());
+  return (fn << 32) | frame.pc;
+}
+
 RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
                           const WorkItemInfo& item, ExecStats& stats,
                           MemTracker* tracker) {
@@ -707,6 +714,12 @@ void RegItemVM::reset(const Module& module, const CompiledFunction& kernel,
   pending_block_ = 0;
 }
 
+std::uint64_t RegItemVM::barrier_site() const {
+  const auto fn = static_cast<std::uint64_t>(frames_.back().fn -
+                                             module_->reg_functions.data());
+  return (fn << 32) | pending_block_;
+}
+
 // One dispatch loop, two execution shapes. RegRunner::run is the body of
 // both register interpreters (see the comment on the definition below).
 struct RegRunner {
@@ -802,6 +815,7 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
       // (eligible kernels have no barriers inside callees), so fr/fn/code/R
       // still address the kernel frame, whose window starts at regs_[0].
       const std::size_t n = vm.group_items_;
+      const bool phase_start = cur == static_cast<std::size_t>(-1);
       std::size_t i = cur + 1;  // first trip: cur == size_t(-1) wraps to 0
       while (i < n && vm.done_[i]) ++i;
       if (i >= n) {
@@ -825,7 +839,16 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
       }
       fuel = vm.fuel_;
       ++vm.regions_executed_;
-      VM_ENTER_BLOCK(entry);
+      const RegInstr* prologue = vm.prologue_by_block_[entry];
+      if (phase_start && prologue != nullptr) {
+        // Every item of the phase enters this region (the divergent-barrier
+        // trap guarantees it), so its group-invariant values are computed
+        // once, here; the prologue's closing Br enters the block for the
+        // first item with the usual accounting.
+        in = prologue;
+      } else {
+        VM_ENTER_BLOCK(entry);
+      }
     } else {
       VM_ENTER_BLOCK(vm.pending_block_);
     }
@@ -1129,7 +1152,11 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
         row[pairs[k].second] = R[pairs[k].first];
       }
       vm.pending_[cur] = resume;
-      ++vm.phase_at_barrier_;
+      if (vm.phase_at_barrier_++ == 0) {
+        vm.phase_resume_ = resume;
+      } else if (resume != vm.phase_resume_) {
+        vm.phase_diverged_ = true;
+      }
       continue;
     } else {
       // Suspend: the register file (regs_/frames_) is the saved state; the
@@ -1262,9 +1289,16 @@ void WorkGroupVM::prepare(const Module& module, const CompiledFunction& kernel,
   spill_pairs_.clear();
   restore_by_block_.assign(nblocks, SpillSpan{});
   save_by_block_.assign(nblocks, SpillSpan{});
+  prologue_by_block_.assign(nblocks, nullptr);
   for (std::size_t b = 0; b < nblocks; ++b) {
     const std::int32_t e = wg_->entry_index[b];
     if (e < 0) continue;
+    const std::int32_t prologue =
+        wg_->prologue_start[static_cast<std::size_t>(e)];
+    if (prologue >= 0) {
+      prologue_by_block_[b] =
+          wg_->prologues.data() + static_cast<std::size_t>(prologue);
+    }
     const auto& restore = wg_->entry_lists[static_cast<std::size_t>(e)];
     restore_by_block_[b].begin = static_cast<std::uint32_t>(
         spill_pairs_.size());
@@ -1280,15 +1314,18 @@ void WorkGroupVM::prepare(const Module& module, const CompiledFunction& kernel,
 void WorkGroupVM::run_group(const MemoryEnv& mem, const LaunchInfo& launch,
                             const WorkItemInfo* items, ExecStats& stats,
                             MemTracker* tracker) {
+  // The group runs the wg copy of the kernel (hoisted instructions moved
+  // to the region prologues); the constant pool stays where the original
+  // function put it.
   const RegFunction& fn = *kernel_fn_;
   frames_.clear();
-  frames_.push_back(RegFrame{&fn, 0, kRegNoRet, 0, 0});
-  regs_.assign(fn.num_regs, Value{});
-  // Uniform registers — the ones no instruction writes — keep these values
-  // for every item of the group: arguments in the parameter registers,
-  // the constant pool in its registers, zeros elsewhere. Item-varying
-  // parameters are re-restored per item from the spill-row argument image,
-  // which is harmless.
+  frames_.push_back(RegFrame{&wg_->fn, 0, kRegNoRet, 0, 0});
+  regs_.assign(wg_->fn.num_regs, Value{});
+  // Registers no block instruction writes keep these values for every
+  // item of the group: arguments in the parameter registers, the constant
+  // pool in its registers, zeros elsewhere until a prologue computes
+  // them. Item-varying parameters are re-restored per item from the
+  // spill-row argument image, which is harmless.
   const std::size_t nparams =
       std::min<std::size_t>(fn.num_params, args_.size());
   for (std::size_t r = 0; r < nparams; ++r) regs_[r] = args_[r];
@@ -1307,17 +1344,23 @@ void WorkGroupVM::run_group(const MemoryEnv& mem, const LaunchInfo& launch,
   barrier_flags_ = 0;
 
   // One RegRunner phase runs every unfinished item up to its next barrier
-  // (or exit). Items finishing in a phase where others reached a barrier
-  // is the divergent-barrier condition — same trap as the item-mode group
-  // scheduler in clsim.
+  // (or exit). Items finishing in a phase where others reached a barrier,
+  // or items waiting at different barriers, is the divergent-barrier
+  // condition — same traps as the item-mode group scheduler in clsim.
   while (done_count_ < group_items_) {
     phase_finished_ = 0;
     phase_at_barrier_ = 0;
+    phase_diverged_ = false;
     RegRunner::run(*this, mem, launch, items, stats, tracker);
     if (phase_at_barrier_ != 0 && phase_finished_ != 0) {
       throw TrapError(
           "divergent barrier: some work-items exited while others wait at a "
           "barrier");
+    }
+    if (phase_diverged_) {
+      throw TrapError(
+          "divergent barrier: work-items of a group wait at different "
+          "barriers");
     }
   }
   loop_trips_ += group_items_;

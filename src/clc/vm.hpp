@@ -78,6 +78,11 @@ public:
   /// Flags of the barrier that suspended the item (valid after Barrier).
   std::uint64_t barrier_flags() const { return barrier_flags_; }
 
+  /// Identifies the barrier that suspended the item (valid after Barrier):
+  /// the suspended frame's function index and resume pc. Items of one
+  /// phase waiting at different sites is the divergent-barrier condition.
+  std::uint64_t barrier_site() const;
+
   /// Upper bound on dynamic instructions per run() call; a trap fires when
   /// exceeded (guards against infinite loops in user kernels).
   void set_fuel(std::uint64_t fuel) { fuel_ = fuel; }
@@ -133,6 +138,8 @@ public:
                 MemTracker* tracker);
 
   std::uint64_t barrier_flags() const { return barrier_flags_; }
+  /// As WorkItemVM::barrier_site, with the resume block in place of a pc.
+  std::uint64_t barrier_site() const;
   void set_fuel(std::uint64_t fuel) { fuel_ = fuel; }
 
 private:
@@ -153,7 +160,9 @@ private:
 /// files, no suspend/resume machinery. Per-item state is reduced to the
 /// spill rows of the registers live across region boundaries (WgInfo,
 /// computed at build time by analyze_wg_loops) plus a private arena for
-/// kernels that use private memory.
+/// kernels that use private memory. Group-invariant values are computed
+/// once per group and phase by the region's prologue (WgInfo::prologues),
+/// before the first item enters the region.
 ///
 /// Fuel and ExecStats accounting stay field-identical to RegItemVM: the
 /// fuel budget is debited per item per region (each item-region entry
@@ -169,8 +178,9 @@ public:
 
   /// Runs one whole work-group to completion. `items` must point at
   /// group_items WorkItemInfo entries. Throws TrapError on kernel traps,
-  /// including the divergent-barrier condition (a region exit taken by
-  /// some items while others reached a barrier).
+  /// including the divergent-barrier conditions (a region exit taken by
+  /// some items while others reached a barrier, or items of one phase
+  /// waiting at different barriers).
   void run_group(const MemoryEnv& mem, const LaunchInfo& launch,
                  const WorkItemInfo* items, ExecStats& stats,
                  MemTracker* tracker);
@@ -188,8 +198,8 @@ private:
   friend struct RegRunner;
 
   const Module* module_ = nullptr;
-  const RegFunction* kernel_fn_ = nullptr;
-  const WgInfo* wg_ = nullptr;
+  const RegFunction* kernel_fn_ = nullptr;  // owns the constant pool
+  const WgInfo* wg_ = nullptr;              // wg_->fn is the code run
   bool uses_barrier_ = false;
   std::uint64_t kernel_priv_bytes_ = 0;
   std::size_t group_items_ = 0;
@@ -212,6 +222,9 @@ private:
   std::vector<std::pair<std::uint16_t, std::uint16_t>> spill_pairs_;
   std::vector<SpillSpan> restore_by_block_;
   std::vector<SpillSpan> save_by_block_;
+  // Per block: the region prologue (WgInfo::prologues) its phase starts
+  // with, or nullptr when nothing was hoisted from the region's heads.
+  std::vector<const RegInstr*> prologue_by_block_;
   std::vector<std::vector<std::byte>> privs_;  // per-item private arenas
   std::vector<std::uint32_t> pending_;  // per-item resume block
   std::vector<char> done_;
@@ -222,6 +235,8 @@ private:
   std::size_t done_count_ = 0;
   std::size_t phase_finished_ = 0;
   std::size_t phase_at_barrier_ = 0;
+  std::uint32_t phase_resume_ = 0;  // resume block of the phase's barrier
+  bool phase_diverged_ = false;     // an item reached a different barrier
 
   std::uint64_t loop_trips_ = 0;
   std::uint64_t regions_executed_ = 0;

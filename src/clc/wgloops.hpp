@@ -15,14 +15,24 @@
 ///
 /// This pass computes, per kernel:
 ///   * eligibility (all barriers in top-level kernel code, well-formed
-///     blocks; ineligible kernels keep per-item activations),
+///     blocks; ineligible kernels keep per-item activations) and, when
+///     ineligible, the reason,
 ///   * the region count (resume points: block 0 + each barrier's resume
 ///     block),
-///   * the live-register union over all region entries — the per-item
-///     spill set.
+///   * a uniformity analysis: pure instructions with group-uniform
+///     operands in the blocks every item runs exactly once per region
+///     phase (the region heads) move into a per-region prologue that the
+///     work-group VM runs once per group and phase, with a fresh register
+///     where the original is shared with item-varying writers (the wg copy
+///     of the kernel, WgInfo::fn),
+///   * the live-register union over all region entries of that copy — the
+///     per-item spill set, which no longer holds the hoisted values.
 ///
-/// Classic backward dataflow liveness over the basic blocks produced by
-/// lower_module; runs at build time, after register lowering.
+/// Classic backward liveness over the basic blocks produced by
+/// lower_module plus linear scans of the region heads; runs at build time,
+/// after register lowering.
+
+#include <string>
 
 #include "clc/bytecode.hpp"
 
@@ -32,8 +42,10 @@ namespace hplrepro::clc {
 /// register form. Requires module.has_reg_form(); a module without it is
 /// left untouched. Non-kernel functions and ineligible kernels get a
 /// default (ineligible) entry — the executor falls back to per-item VMs
-/// for those.
-void analyze_wg_loops(Module& module);
+/// for those. Returns the build-log lines, one per kernel: why it is
+/// ineligible, or its region count and how many instructions were
+/// hoisted.
+std::string analyze_wg_loops(Module& module);
 
 }  // namespace hplrepro::clc
 

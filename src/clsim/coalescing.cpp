@@ -82,6 +82,12 @@ void CoalescingTracker::global_access(std::uint32_t pc_key,
   const std::uint64_t first = (buffer << 50) | (offset >> segment_shift_);
   const std::uint64_t last =
       (buffer << 50) | ((offset + size - 1) >> segment_shift_);
+  // Neighbouring items of a warp mostly hit the segment the previous one
+  // added last; nothing new to record then.
+  if (first == last && !state.segments.empty() &&
+      state.segments.back() == first) {
+    return;
+  }
   for (std::uint64_t seg = first; seg <= last; ++seg) {
     if (std::find(state.segments.begin(), state.segments.end(), seg) ==
         state.segments.end()) {

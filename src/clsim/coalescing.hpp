@@ -18,7 +18,8 @@
 /// The tracker sits on the interpreters' per-access path, so the
 /// per-instruction state lives in a flat open-addressed table (one multiply
 /// and usually one probe per access), and warp and segment sizes must be
-/// powers of two so the divisions are shifts.
+/// powers of two so the divisions are shifts. A single-segment access to
+/// the segment its warp recorded last at that instruction returns at once.
 
 #include <cstddef>
 #include <cstdint>

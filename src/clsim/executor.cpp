@@ -226,6 +226,8 @@ public:
       while (done_count < group_items_) {
         std::size_t finished_this_phase = 0;
         std::size_t at_barrier = 0;
+        std::uint64_t site = 0;
+        bool diverged = false;
         for (std::size_t i = 0; i < group_items_; ++i) {
           if (done_[i]) continue;
           const RunStatus status =
@@ -234,18 +236,25 @@ public:
             done_[i] = 1;
             ++done_count;
             ++finished_this_phase;
-          } else {
-            ++at_barrier;
+          } else if (at_barrier++ == 0) {
+            site = vms_[i].barrier_site();
+          } else if (vms_[i].barrier_site() != site) {
+            diverged = true;
           }
         }
         // OpenCL requires that if any item of a group reaches a barrier,
-        // every item reaches it. Mixed outcomes within one phase mean the
-        // program would deadlock on real hardware; report it instead of
-        // silently releasing the barrier.
+        // every item reaches the same one. Mixed outcomes within one phase
+        // mean the program would deadlock on real hardware; report it
+        // instead of silently releasing the barrier.
         if (at_barrier != 0 && finished_this_phase != 0) {
           throw clc::TrapError(
               "divergent barrier: some work-items exited while others wait "
               "at a barrier");
+        }
+        if (diverged) {
+          throw clc::TrapError(
+              "divergent barrier: work-items of a group wait at different "
+              "barriers");
         }
       }
     }

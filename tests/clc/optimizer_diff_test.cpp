@@ -1,4 +1,4 @@
-// Four-way differential harness over the interpreter/optimizer matrix:
+// Differential harness over the interpreter/optimizer matrix:
 //   O0 stack  vs  O2 stack       — the optimizer pipeline contract
 //                                  (bit-identical outputs, never more ops);
 //   O2 stack  vs  O2 threaded    — the register-lowering contract
@@ -11,8 +11,10 @@
 //                                  work-item loops on one activation keeps
 //                                  bits AND every counter, fuel semantics
 //                                  included, identical to per-item runs).
-// Every kernel in both corpora runs through all four configurations;
-// semantics preservation down to the last bit, with measurable savings.
+// Every kernel in both corpora runs through all four configurations (the
+// language corpus also runs O0 through the work-group VM, whose register
+// code and hoisting differ from O2's); semantics preservation down to the
+// last bit, with measurable savings.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,7 @@
 #include "benchsuite/kernel_corpus.hpp"
 #include "clsim/runtime.hpp"
 #include "exec_helper.hpp"
+#include "hoist_kernels.hpp"
 #include "hpl/HPL.h"
 
 namespace bs = hplrepro::benchsuite;
@@ -386,6 +389,8 @@ TEST_P(OptimizerDiffLanguage, BitIdenticalAndNoMoreOps) {
                "-O2 -cl-interp=threaded -cl-wg-loops=off");
   const DiffRun wg = run_diff(ck.source, ck.kernel_name, ck.words,
                               ck.global, ck.local, "-O2 -cl-interp=threaded");
+  const DiffRun o0_wg = run_diff(ck.source, ck.kernel_name, ck.words,
+                                 ck.global, ck.local, "-O0 -cl-interp=threaded");
 
   ASSERT_EQ(o0.words.size(), o2.words.size());
   for (std::size_t i = 0; i < o0.words.size(); ++i) {
@@ -398,17 +403,33 @@ TEST_P(OptimizerDiffLanguage, BitIdenticalAndNoMoreOps) {
   EXPECT_EQ(o2.words, reg.words) << ck.label;
   expect_stats_identical(o2.stats, reg.stats, ck.label);
 
-  // Work-group compilation: same bits, same counters again.
+  // Work-group compilation: same bits, same counters again, at both
+  // optimization levels.
   EXPECT_EQ(reg.words, wg.words) << ck.label;
   expect_stats_identical(reg.stats, wg.stats, ck.label);
+  EXPECT_EQ(o0.words, o0_wg.words) << ck.label;
+  expect_stats_identical(o0.stats, o0_wg.stats, ck.label);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    LanguageCorpus, OptimizerDiffLanguage,
-    ::testing::ValuesIn(kLanguageCorpus),
-    [](const ::testing::TestParamInfo<CorpusKernel>& info) {
-      return std::string(info.param.label);
-    });
+std::string corpus_label(const ::testing::TestParamInfo<CorpusKernel>& info) {
+  return info.param.label;
+}
+
+INSTANTIATE_TEST_SUITE_P(LanguageCorpus, OptimizerDiffLanguage,
+                         ::testing::ValuesIn(kLanguageCorpus), corpus_label);
+
+// The kernels built to break the work-group VM's hoisting rules, over four
+// groups of 16 items.
+std::vector<CorpusKernel> hoist_corpus() {
+  std::vector<CorpusKernel> corpus;
+  for (const clc_test::HoistKernel& hk : clc_test::kHoistKernels) {
+    corpus.push_back({hk.label, "k", hk.source, 64, 64, 16});
+  }
+  return corpus;
+}
+
+INSTANTIATE_TEST_SUITE_P(HoistCorpus, OptimizerDiffLanguage,
+                         ::testing::ValuesIn(hoist_corpus()), corpus_label);
 
 const CorpusKernel& language_kernel(const std::string& label) {
   for (const auto& k : kLanguageCorpus) {
@@ -688,6 +709,33 @@ __kernel void diverge(__global uint* out) {
        {"-O2 -cl-interp=threaded -cl-wg-loops=off",
         "-O2 -cl-interp=threaded"}) {
     EXPECT_THROW(run_diff(source, "diverge", 16, 16, 16, options),
+                 clc::TrapError)
+        << options;
+  }
+}
+
+// Items of one phase waiting at different barriers would deadlock on a
+// device just like items exiting while others wait; every mode traps
+// instead of releasing each barrier with half the group.
+TEST(OptimizerDiff, DifferentBarriersTrapInEveryMode) {
+  const std::string source = R"CLC(
+__kernel void split(__global uint* out) {
+  size_t lid = get_local_id(0);
+  uint v;
+  if (lid < 8u) {
+    barrier(CLK_LOCAL_MEM_FENCE);
+    v = 1u;
+  } else {
+    barrier(CLK_LOCAL_MEM_FENCE);
+    v = 2u;
+  }
+  out[get_global_id(0)] = v;
+}
+)CLC";
+  for (const char* options :
+       {"-O2 -cl-interp=stack", "-O2 -cl-interp=threaded -cl-wg-loops=off",
+        "-O2 -cl-interp=threaded"}) {
+    EXPECT_THROW(run_diff(source, "split", 16, 16, 16, options),
                  clc::TrapError)
         << options;
   }

@@ -8,10 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "benchsuite/reduction.hpp"
+#include "benchsuite/transpose.hpp"
+#include "clc/builtins.hpp"
 #include "clc/compile.hpp"
+#include "hoist_kernels.hpp"
 
+namespace bs = hplrepro::benchsuite;
 namespace clc = hplrepro::clc;
 
 namespace {
@@ -31,6 +38,25 @@ const clc::WgInfo& kernel_info(const clc::Module& module,
   const auto index =
       static_cast<std::size_t>(fn - module.functions.data());
   return module.wg_info[index];
+}
+
+std::size_t kernel_index(const clc::Module& module, const std::string& name) {
+  const clc::CompiledFunction* fn = module.find(name);
+  EXPECT_NE(fn, nullptr) << name;
+  return static_cast<std::size_t>(fn - module.functions.data());
+}
+
+bool is_query(const clc::RegInstr& in, clc::Builtin id) {
+  return in.op == clc::RegOp::WorkItem &&
+         in.aux == static_cast<std::int32_t>(id);
+}
+
+/// How many instructions of `code` are the work-item query `id`.
+std::size_t count_queries(const std::vector<clc::RegInstr>& code,
+                          clc::Builtin id) {
+  return static_cast<std::size_t>(
+      std::count_if(code.begin(), code.end(),
+                    [&](const clc::RegInstr& in) { return is_query(in, id); }));
 }
 
 const char* kTwoRegionKernel = R"CLC(
@@ -142,6 +168,177 @@ TEST(WgLoops, WgLoopsOffBuildsNoWgForm) {
       compile_with(kTwoRegionKernel, "-O2 -cl-wg-loops=off");
   EXPECT_TRUE(m.has_reg_form());
   EXPECT_FALSE(m.has_wg_form());
+}
+
+// Hoisting edits only the wg copy of a kernel: the module's register form,
+// which RegItemVM runs under -cl-wg-loops=off, is the same instruction
+// for instruction with and without the analysis.
+TEST(WgLoops, WgLoopsOffBuildIsUnchanged) {
+  const clc::Module on = compile_with(bs::transpose_kernel_source(), "-O2");
+  const clc::Module off =
+      compile_with(bs::transpose_kernel_source(), "-O2 -cl-wg-loops=off");
+  ASSERT_EQ(on.reg_functions.size(), off.reg_functions.size());
+  const std::size_t k = kernel_index(on, "transpose_tiled");
+  EXPECT_GT(on.wg_info[k].hoisted, 0u);
+  for (std::size_t f = 0; f < on.reg_functions.size(); ++f) {
+    const clc::RegFunction& a = on.reg_functions[f];
+    const clc::RegFunction& b = off.reg_functions[f];
+    EXPECT_EQ(a.num_regs, b.num_regs);
+    ASSERT_EQ(a.code.size(), b.code.size());
+    for (std::size_t i = 0; i < a.code.size(); ++i) {
+      const clc::RegInstr& x = a.code[i];
+      const clc::RegInstr& y = b.code[i];
+      EXPECT_TRUE(x.op == y.op && x.dst == y.dst && x.a == y.a &&
+                  x.b == y.b && x.c == y.c && x.aux == y.aux &&
+                  x.imm == y.imm)
+          << "instruction " << i;
+    }
+  }
+}
+
+// The transpose tile's resume region computes its tile origin from
+// get_group_id: two queries and two shifts the whole group shares. They
+// move into that region's prologue, and because the lowering reuses their
+// temporary for the item-varying address, each moves to a fresh register.
+TEST(WgLoops, GroupIdArithmeticIsHoistedAndRenamed) {
+  const clc::Module m = compile_with(bs::transpose_kernel_source(), "-O2");
+  const std::size_t k = kernel_index(m, "transpose_tiled");
+  const clc::WgInfo& info = m.wg_info[k];
+  const clc::RegFunction& rf = m.reg_functions[k];
+  ASSERT_TRUE(info.eligible);
+  EXPECT_EQ(info.hoisted, 4u);
+  EXPECT_EQ(count_queries(rf.code, clc::Builtin::GetGroupId), 2u);
+  EXPECT_EQ(count_queries(info.fn.code, clc::Builtin::GetGroupId), 0u);
+  EXPECT_EQ(count_queries(info.prologues, clc::Builtin::GetGroupId), 2u);
+  EXPECT_EQ(info.fn.num_regs, rf.num_regs + 4);
+  for (const clc::RegInstr& in : info.prologues) {
+    if (in.op == clc::RegOp::Br) continue;
+    EXPECT_GE(in.dst, rf.num_regs) << clc::reg_op_name(in.op);
+  }
+  // Blocks keep their accounting; only the instructions move.
+  ASSERT_EQ(info.fn.blocks.size(), rf.blocks.size());
+  for (std::size_t b = 0; b < rf.blocks.size(); ++b) {
+    EXPECT_EQ(info.fn.blocks[b].fuel, rf.blocks[b].fuel);
+    EXPECT_EQ(info.fn.blocks[b].int_ops, rf.blocks[b].int_ops);
+    EXPECT_EQ(info.fn.blocks[b].control_ops, rf.blocks[b].control_ops);
+  }
+  EXPECT_EQ(info.fn.code.size() + info.hoisted, rf.code.size());
+}
+
+// A group-uniform value computed only under an item-varying branch is not
+// run by every item, so it stays in its block.
+TEST(WgLoops, DefUnderVaryingBranchIsNotHoisted) {
+  const clc::Module m = compile_with(R"CLC(
+__kernel void k(__global uint* out) {
+  size_t lid = get_local_id(0);
+  uint v = 0u;
+  if (lid < 4u) {
+    v = (uint)get_group_id(0) * 3u;
+  }
+  out[get_global_id(0)] = v;
+}
+)CLC",
+                                     "-O2");
+  const clc::WgInfo& info = kernel_info(m, "k");
+  ASSERT_TRUE(info.eligible);
+  EXPECT_EQ(count_queries(info.fn.code, clc::Builtin::GetGroupId), 1u);
+  EXPECT_EQ(count_queries(info.prologues, clc::Builtin::GetGroupId), 0u);
+}
+
+// Loops inside a region are out of scope: a uniform query in a loop body
+// runs per trip and stays in place.
+TEST(WgLoops, UniformValueInsideRegionLoopStaysInPlace) {
+  const clc::Module m = compile_with(R"CLC(
+__kernel void k(__global uint* out) {
+  uint acc = 0u;
+  for (uint i = 0u; i < 4u; i++) {
+    acc += (uint)get_group_id(0) * 3u + i;
+  }
+  out[get_global_id(0)] = acc;
+}
+)CLC",
+                                     "-O2");
+  const clc::WgInfo& info = kernel_info(m, "k");
+  ASSERT_TRUE(info.eligible);
+  EXPECT_EQ(count_queries(info.fn.code, clc::Builtin::GetGroupId), 1u);
+  EXPECT_EQ(count_queries(info.prologues, clc::Builtin::GetGroupId), 0u);
+}
+
+// The group-id product shares its temporary with the item-varying sum
+// (the floyd_pass shape): hoisting moves it to a fresh register past the
+// kernel's own. optimizer_diff_test checks that its results and counters
+// match per-item and stack execution.
+TEST(WgLoops, SharedTemporaryIsRenamed) {
+  const clc::Module m =
+      compile_with(clc_test::hoist_kernel("renamed_group_product"), "-O2");
+  const std::size_t k = kernel_index(m, "k");
+  const clc::WgInfo& info = m.wg_info[k];
+  ASSERT_TRUE(info.eligible);
+  EXPECT_GT(info.hoisted, 0u);
+  EXPECT_GT(info.fn.num_regs, m.reg_functions[k].num_regs);
+}
+
+// Every kernel of the rule-breaking set hoists something, so the
+// differential runs over them in optimizer_diff_test exercise the
+// prologues.
+TEST(WgLoops, RuleBreakingKernelsHoist) {
+  for (const clc_test::HoistKernel& hk : clc_test::kHoistKernels) {
+    const clc::Module m = compile_with(hk.source, "-O2");
+    EXPECT_GT(kernel_info(m, "k").hoisted, 0u) << hk.label;
+  }
+}
+
+// reduce_sum's tree loop carries the stride `s` across its barrier: every
+// write to it (the initial local_size / 2 and the halving after each
+// barrier) runs in a region head on uniform operands, so all of them move
+// into prologues and `s` needs no spill column.
+TEST(WgLoops, LoopCarriedStrideLeavesSpillSet) {
+  const clc::Module m = compile_with(bs::reduction_kernel_source(), "-O2");
+  const std::size_t k = kernel_index(m, "reduce_sum");
+  const clc::WgInfo& info = m.wg_info[k];
+  const clc::RegFunction& rf = m.reg_functions[k];
+  ASSERT_TRUE(info.eligible);
+  // The loop test `s > 0` reads the stride register.
+  const auto test = std::find_if(
+      rf.code.begin(), rf.code.end(),
+      [](const clc::RegInstr& in) { return in.op == clc::RegOp::GtU; });
+  ASSERT_NE(test, rf.code.end());
+  const std::uint16_t s = test->a;
+  const auto writers = std::count_if(
+      rf.code.begin(), rf.code.end(), [&](const clc::RegInstr& in) {
+        return in.op == clc::RegOp::Zext32 && in.dst == s;
+      });
+  EXPECT_EQ(writers, 2);  // loop-carried: initialised, then halved
+  EXPECT_EQ(std::count(info.live_regs.begin(), info.live_regs.end(), s), 0);
+  for (const auto& list : info.entry_lists) {
+    for (const auto& pair : list) EXPECT_NE(pair.first, s);
+  }
+  // Only the local id still crosses a barrier per item.
+  EXPECT_EQ(info.live_regs.size(), 1u);
+}
+
+// The build log carries one wg-loops reason code per kernel.
+TEST(WgLoops, BuildLogGivesReasonPerKernel) {
+  clc::CompileOptions opt;
+  const clc::CompileResult eligible =
+      clc::compile(bs::transpose_kernel_source(), opt);
+  EXPECT_NE(eligible.build_log.find("wg-loops: kernel 'transpose_tiled': 2 "
+                                    "region(s), hoisted 4 of "),
+            std::string::npos)
+      << eligible.build_log;
+
+  const clc::CompileResult helper = clc::compile(R"CLC(
+void sync(void) { barrier(CLK_LOCAL_MEM_FENCE); }
+__kernel void k(__global uint* out) {
+  sync();
+  out[get_global_id(0)] = 1u;
+}
+)CLC",
+                                                 opt);
+  EXPECT_NE(helper.build_log.find(
+                "wg-loops: kernel 'k': ineligible (barrier in callee)"),
+            std::string::npos)
+      << helper.build_log;
 }
 
 TEST(WgLoops, StackInterpreterBuildsNoWgForm) {

@@ -222,6 +222,74 @@ TEST(Coalescing, FlatTableMatchesReferenceOnRandomStreams) {
       }
     }
   }
+
+  // Repeat-heavy streams, the shape work-item loops produce and the
+  // tracker's fast path (same single segment as the warp's last one at
+  // that instruction) serves: long runs of one instruction over
+  // consecutive items at stride 0 or one element, items issuing a few
+  // instructions in turn, and new instructions first appearing in the
+  // middle of a warp so the table grows while warps are open.
+  for (const unsigned warp : {1u, 8u, 32u}) {
+    for (const unsigned segment : {32u, 64u, 128u}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("repeat-heavy warp " + std::to_string(warp) +
+                     " segment " + std::to_string(segment) + " seed " +
+                     std::to_string(seed));
+        std::mt19937_64 rng(seed * 7919 + warp * 10 + segment);
+        auto below = [&](std::uint64_t n) { return rng() % n; };
+        CoalescingTracker tracker(warp, segment);
+        ReferenceTracker reference(warp, segment);
+        auto access = [&](std::uint32_t key, std::uint64_t item,
+                          std::uint64_t buffer, std::uint64_t offset,
+                          std::uint32_t size) {
+          tracker.global_access(key, item, buffer, offset, size, false);
+          reference.global_access(key, item, buffer, offset, size);
+        };
+
+        std::vector<std::uint32_t> keys{7u};
+        std::uint64_t item = 0;
+        for (int burst = 0; burst < 400; ++burst) {
+          if (below(6) == 0) {
+            keys.push_back(static_cast<std::uint32_t>(below(3) << 20) |
+                           static_cast<std::uint32_t>(below(4096)));
+          }
+          const std::uint64_t buffer = below(2);
+          const std::uint32_t size = kSizes[below(4)];
+          const std::uint64_t base = below(4096);
+          const std::uint64_t stride = below(2) * size;
+          if (below(2) == 0) {
+            const std::uint32_t key = keys[below(keys.size())];
+            const std::uint64_t run = 1 + below(96);
+            for (std::uint64_t r = 0; r < run; ++r) {
+              access(key, item + r, buffer, base + r * stride, size);
+            }
+            item += run;
+          } else {
+            const std::size_t n =
+                std::min<std::size_t>(keys.size(), 1 + below(4));
+            const std::uint64_t run = 1 + below(48);
+            for (std::uint64_t r = 0; r < run; ++r) {
+              for (std::size_t k = 0; k < n; ++k) {
+                access(keys[keys.size() - 1 - k], item + r, buffer,
+                       base + k * 4096 + r * stride, size);
+              }
+            }
+            item += run;
+          }
+          if (below(40) == 0) {
+            ASSERT_EQ(tracker.finish(), reference.finish()) << burst;
+          }
+          if (below(150) == 0) {
+            tracker.reset();
+            reference.reset();
+            item = 0;
+          }
+        }
+        ASSERT_EQ(tracker.finish(), reference.finish());
+        EXPECT_EQ(tracker.finish(), 0u);
+      }
+    }
+  }
 }
 
 // The tracker divides by shifting, so it refuses sizes a shift cannot
