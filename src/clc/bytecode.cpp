@@ -410,12 +410,15 @@ struct LowerFailure {
 
 class FunctionLowerer {
 public:
+  /// `mem_slots` is the module-wide memory-slot counter: every memory
+  /// instruction this function emits takes the next slot.
   FunctionLowerer(const Module& module, int fn_index,
-                  const std::vector<char>& returns_value)
+                  const std::vector<char>& returns_value,
+                  std::uint32_t& mem_slots)
       : module_(module),
         fn_(module.functions[static_cast<std::size_t>(fn_index)]),
-        fn_index_(fn_index),
         returns_value_(returns_value),
+        mem_slots_(mem_slots),
         num_slots_(fn_.num_slots) {}
 
   RegFunction lower() {
@@ -619,10 +622,9 @@ private:
     }
   }
 
-  std::int32_t pc_key_at(std::size_t pc) const {
-    return static_cast<std::int32_t>(
-        (static_cast<std::uint32_t>(fn_index_) << 20) |
-        static_cast<std::uint32_t>(pc));
+  /// The coalescing-tracker slot of the next memory instruction.
+  std::int32_t next_mem_slot() {
+    return static_cast<std::int32_t>(mem_slots_++);
   }
 
   std::int32_t branch_block(std::size_t target_pc) const {
@@ -899,23 +901,24 @@ private:
         if (in_range(in.op, Op::LoadI8, Op::LoadF64)) {
           const std::uint16_t ptr = pop_src();
           const std::uint16_t dst = home(depth());
-          emit(direct_reg_op(in.op), dst, ptr, 0, 0, pc_key_at(pc));
+          emit(direct_reg_op(in.op), dst, ptr, 0, 0, next_mem_slot());
           st_.push_back(dst);
         } else if (in_range(in.op, Op::StoreI8, Op::StoreF64)) {
           const std::uint16_t value = pop_src();
           const std::uint16_t ptr = pop_src();
-          emit(direct_reg_op(in.op), 0, ptr, value, 0, pc_key_at(pc));
+          emit(direct_reg_op(in.op), 0, ptr, value, 0, next_mem_slot());
         } else if (in_range(in.op, Op::LIdxI8, Op::LIdxF64)) {
           const std::uint16_t index = pop_src();
           const std::uint16_t ptr = pop_src();
           const std::uint16_t dst = home(depth());
-          emit(direct_reg_op(in.op), dst, ptr, index, 0, pc_key_at(pc), in.a);
+          emit(direct_reg_op(in.op), dst, ptr, index, 0, next_mem_slot(),
+               in.a);
           st_.push_back(dst);
         } else if (in_range(in.op, Op::SIdxI8, Op::SIdxF64)) {
           const std::uint16_t value = pop_src();
           const std::uint16_t index = pop_src();
           const std::uint16_t ptr = pop_src();
-          emit(direct_reg_op(in.op), 0, ptr, index, value, pc_key_at(pc),
+          emit(direct_reg_op(in.op), 0, ptr, index, value, next_mem_slot(),
                in.a);
         } else if (eff.pops == 2 && eff.pushes == 1) {
           const std::uint16_t rhs = pop_src();
@@ -938,8 +941,8 @@ private:
 
   const Module& module_;
   const CompiledFunction& fn_;
-  int fn_index_;
   const std::vector<char>& returns_value_;
+  std::uint32_t& mem_slots_;
   RegFunction out_;
   std::vector<char> leaders_;
   std::vector<int> block_of_pc_;
@@ -971,13 +974,16 @@ std::string lower_module(Module& module) {
   }
 
   module.reg_functions.clear();
+  module.mem_slots = 0;
   try {
     for (std::size_t i = 0; i < module.functions.size(); ++i) {
-      FunctionLowerer lowerer(module, static_cast<int>(i), returns_value);
+      FunctionLowerer lowerer(module, static_cast<int>(i), returns_value,
+                              module.mem_slots);
       module.reg_functions.push_back(lowerer.lower());
     }
   } catch (const LowerFailure& failure) {
     module.reg_functions.clear();
+    module.mem_slots = 0;
     return "note: register lowering failed (" + failure.why +
            "); falling back to the stack interpreter";
   }

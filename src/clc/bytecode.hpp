@@ -229,7 +229,8 @@ const char* reg_op_name(RegOp op);
 ///             args, c = scalar class; Mad: a*b with addend c)
 ///   aux       block id (Br, BrIf's zero path, Barrier's resume point),
 ///             callee index (Call), builtin id (WorkItem/BuiltinFn),
-///             pc_key (memory ops), operand order (Mad)
+///             memory slot (memory ops: 0..Module::mem_slots-1, unique
+///             across the module), operand order (Mad)
 ///   imm       64-bit immediate (PrivPtr: arena offset; PtrAdd/LIdx/SIdx:
 ///             element size)
 struct RegInstr {
@@ -355,6 +356,11 @@ struct Module {
   /// lower_module (-cl-interp=threaded, the default); empty when the module
   /// runs on the stack interpreter.
   std::vector<RegFunction> reg_functions;
+
+  /// Number of memory instructions in `reg_functions`: lower_module numbers
+  /// them 0..mem_slots-1 in RegInstr::aux, the coalescing tracker's slot
+  /// index. WgInfo::fn keeps each instruction's slot.
+  std::uint32_t mem_slots = 0;
 
   /// Work-group compilation metadata, parallel to `functions`. Filled by
   /// analyze_wg_loops (-cl-wg-loops, on by default under threaded); empty

@@ -149,13 +149,16 @@ float apply_math_builtin_f(Builtin id, const float* a) {
   trap("bad pointer space");
 }
 
-// Accounts a memory access in the stats and coalescing tracker.
+// Accounts a memory access in the stats and coalescing tracker. `id` names
+// the memory instruction: its slot (RegInstr::aux) in the register VMs, its
+// `function << 20 | pc` key in the stack VM (kKeyed).
+template <bool kKeyed>
 [[gnu::always_inline]] inline void note_access(ExecStats& stats,
-                                               MemTracker* tracker,
+                                               CoalescingTracker* tracker,
                                                std::uint64_t item_linear,
                                                std::uint64_t ptr,
                                                std::uint32_t size, bool store,
-                                               std::uint32_t pc_key) {
+                                               std::uint32_t id) {
   switch (pointer_space(ptr)) {
     case PtrSpace::Global:
     case PtrSpace::Constant:
@@ -166,8 +169,13 @@ float apply_math_builtin_f(Builtin id, const float* a) {
       }
       ++stats.global_accesses;
       if (tracker) {
-        tracker->global_access(pc_key, item_linear, pointer_buffer(ptr),
-                               pointer_offset(ptr), size, store);
+        if constexpr (kKeyed) {
+          tracker->access_key(id, item_linear, pointer_buffer(ptr),
+                              pointer_offset(ptr), size);
+        } else {
+          tracker->access(id, item_linear, pointer_buffer(ptr),
+                          pointer_offset(ptr), size);
+        }
       }
       break;
     case PtrSpace::Local:
@@ -229,7 +237,7 @@ std::uint64_t WorkItemVM::barrier_site() const {
 
 RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
                           const WorkItemInfo& item, ExecStats& stats,
-                          MemTracker* tracker) {
+                          CoalescingTracker* tracker) {
   std::uint64_t fuel = fuel_;
 
   auto push = [&](Value v) { stack_.push_back(v); };
@@ -324,8 +332,8 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
 #define HPLREPRO_LOAD_CASE(OPNAME, CTYPE, FIELD, EXT)                       \
   case Op::OPNAME: {                                                        \
     const std::uint64_t ptr = pop().u64;                                    \
-    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
-                false, pc_key);                                             \
+    note_access<true>(stats, tracker, item.linear_in_group, ptr,            \
+                      sizeof(CTYPE), false, pc_key);                        \
     CTYPE raw;                                                              \
     std::memcpy(&raw, resolve(mem, private_arena_, ptr, sizeof(CTYPE)),     \
                 sizeof(CTYPE));                                             \
@@ -349,8 +357,8 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
   case Op::OPNAME: {                                                        \
     const Value v = pop();                                                  \
     const std::uint64_t ptr = pop().u64;                                    \
-    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
-                true, pc_key);                                              \
+    note_access<true>(stats, tracker, item.linear_in_group, ptr,            \
+                      sizeof(CTYPE), true, pc_key);                         \
     const CTYPE raw = static_cast<CTYPE>(v.FIELD);                          \
     std::memcpy(resolve(mem, private_arena_, ptr, sizeof(CTYPE)), &raw,     \
                 sizeof(CTYPE));                                             \
@@ -574,8 +582,8 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
   case Op::OPNAME: {                                                        \
     const std::int64_t index = pop().i64;                                   \
     const std::uint64_t ptr = pointer_add(pop().u64, index * instr.a);      \
-    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
-                false, pc_key);                                             \
+    note_access<true>(stats, tracker, item.linear_in_group, ptr,            \
+                      sizeof(CTYPE), false, pc_key);                        \
     CTYPE raw;                                                              \
     std::memcpy(&raw, resolve(mem, private_arena_, ptr, sizeof(CTYPE)),     \
                 sizeof(CTYPE));                                             \
@@ -607,8 +615,8 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
     const Value v = pop();                                                  \
     const std::int64_t index = pop().i64;                                   \
     const std::uint64_t ptr = pointer_add(pop().u64, index * instr.a);      \
-    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
-                true, pc_key);                                              \
+    note_access<true>(stats, tracker, item.linear_in_group, ptr,            \
+                      sizeof(CTYPE), true, pc_key);                         \
     const CTYPE raw = static_cast<CTYPE>(v.FIELD);                          \
     std::memcpy(resolve(mem, private_arena_, ptr, sizeof(CTYPE)), &raw,     \
                 sizeof(CTYPE));                                             \
@@ -726,7 +734,7 @@ struct RegRunner {
   template <class VM>
   static RunStatus run(VM& vm, const MemoryEnv& mem, const LaunchInfo& launch,
                        const WorkItemInfo* items, ExecStats& stats,
-                       MemTracker* tracker);
+                       CoalescingTracker* tracker);
 };
 
 // RegRunner::run is the body of both register interpreters:
@@ -741,7 +749,7 @@ struct RegRunner {
 template <class VM>
 RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
                          const LaunchInfo& launch, const WorkItemInfo* items,
-                         ExecStats& stats, MemTracker* tracker) {
+                         ExecStats& stats, CoalescingTracker* tracker) {
   constexpr bool kWG = std::is_same_v<VM, WorkGroupVM>;
 
   // Dispatch state. Only this function reads and writes these locals (no
@@ -784,8 +792,9 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
   // Accounts the current memory instruction's access of CTYPE at PTR and
   // yields its host address, bounds-checked.
 #define VM_ACCESS(PTR, CTYPE, STORE)                                        \
-  (note_access(stats, tracker, item->linear_in_group, (PTR), sizeof(CTYPE), \
-               (STORE), static_cast<std::uint32_t>(in->aux)),               \
+  (note_access<false>(stats, tracker, item->linear_in_group, (PTR),         \
+                      sizeof(CTYPE), (STORE),                               \
+                      static_cast<std::uint32_t>(in->aux)),                 \
    resolve(mem, *priv, (PTR), sizeof(CTYPE)))
 
   static const void* const kLabels[] = {
@@ -1238,7 +1247,7 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 
 RunStatus RegItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
                          const WorkItemInfo& item, ExecStats& stats,
-                         MemTracker* tracker) {
+                         CoalescingTracker* tracker) {
   return RegRunner::run(*this, mem, launch, &item, stats, tracker);
 }
 
@@ -1313,7 +1322,7 @@ void WorkGroupVM::prepare(const Module& module, const CompiledFunction& kernel,
 
 void WorkGroupVM::run_group(const MemoryEnv& mem, const LaunchInfo& launch,
                             const WorkItemInfo* items, ExecStats& stats,
-                            MemTracker* tracker) {
+                            CoalescingTracker* tracker) {
   // The group runs the wg copy of the kernel (hoisted instructions moved
   // to the region prologues); the constant pool stays where the original
   // function put it.

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "clc/bytecode.hpp"
+#include "clc/coalescing.hpp"
 #include "clc/stats.hpp"
 #include "support/error.hpp"
 
@@ -50,16 +51,6 @@ struct MemoryEnv {
   std::span<std::byte> local;
 };
 
-/// Observer for global-memory accesses, used for coalescing analysis.
-/// `pc_key` identifies the memory instruction (function index << 20 | pc).
-class MemTracker {
-public:
-  virtual ~MemTracker() = default;
-  virtual void global_access(std::uint32_t pc_key, std::uint64_t item_linear,
-                             std::uint64_t buffer, std::uint64_t offset,
-                             std::uint32_t size, bool is_store) = 0;
-};
-
 enum class RunStatus { Done, Barrier };
 
 class WorkItemVM {
@@ -70,10 +61,12 @@ public:
              std::span<const Value> args);
 
   /// Runs until the kernel finishes (Done) or suspends at a barrier
-  /// (Barrier). Resumable: call again after a Barrier return.
+  /// (Barrier). Resumable: call again after a Barrier return. Global
+  /// accesses go to `tracker` (if any) keyed by `function << 20 | pc`; the
+  /// register VMs use the memory slots of Module::mem_slots instead.
   RunStatus run(const MemoryEnv& mem, const LaunchInfo& launch,
                 const WorkItemInfo& item, ExecStats& stats,
-                MemTracker* tracker);
+                CoalescingTracker* tracker);
 
   /// Flags of the barrier that suspended the item (valid after Barrier).
   std::uint64_t barrier_flags() const { return barrier_flags_; }
@@ -135,7 +128,7 @@ public:
 
   RunStatus run(const MemoryEnv& mem, const LaunchInfo& launch,
                 const WorkItemInfo& item, ExecStats& stats,
-                MemTracker* tracker);
+                CoalescingTracker* tracker);
 
   std::uint64_t barrier_flags() const { return barrier_flags_; }
   /// As WorkItemVM::barrier_site, with the resume block in place of a pc.
@@ -183,7 +176,7 @@ public:
   /// waiting at different barriers).
   void run_group(const MemoryEnv& mem, const LaunchInfo& launch,
                  const WorkItemInfo* items, ExecStats& stats,
-                 MemTracker* tracker);
+                 CoalescingTracker* tracker);
 
   void set_fuel(std::uint64_t fuel) { fuel_ = fuel; }
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <type_traits>
 
-#include "clsim/coalescing.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
@@ -13,6 +13,7 @@
 
 namespace hplrepro::clsim {
 
+using clc::CoalescingTracker;
 using clc::ExecStats;
 using clc::LaunchInfo;
 using clc::MemoryEnv;
@@ -123,9 +124,13 @@ public:
         kernel_(kernel),
         args_(args),
         buffers_(buffers),
-        launch_(launch),
-        tracker_(device.warp_size, device.segment_bytes),
-        use_tracker_(device.models_coalescing) {
+        launch_(launch) {
+    // Devices that do not model coalescing (the CPU) get no tracker. The
+    // register VMs index one slot per memory instruction of the module.
+    if (device.models_coalescing) {
+      tracker_.emplace(device.warp_size, device.segment_bytes,
+                       module.mem_slots);
+    }
     local_arena_.resize(kernel.local_bytes + extra_local_bytes);
     group_items_ = launch.local_size[0] * launch.local_size[1] *
                    launch.local_size[2];
@@ -175,7 +180,7 @@ public:
       std::fill_n(local_arena_.begin(), kernel_.local_bytes, std::byte{0});
     }
     MemoryEnv mem{buffers_, std::span<std::byte>(local_arena_)};
-    clc::MemTracker* tracker = use_tracker_ ? &tracker_ : nullptr;
+    CoalescingTracker* tracker = tracker_ ? &*tracker_ : nullptr;
 
     // Precompute per-item identifiers.
     std::size_t linear = 0;
@@ -261,9 +266,7 @@ public:
 
     stats.items += group_items_;
     stats.groups += 1;
-    if (use_tracker_) {
-      stats.global_transactions += tracker_.finish();
-    }
+    if (tracker) stats.global_transactions += tracker->finish();
   }
 
 private:
@@ -272,8 +275,7 @@ private:
   std::span<const clc::Value> args_;
   std::span<std::span<std::byte>> buffers_;
   const LaunchInfo& launch_;
-  CoalescingTracker tracker_;
-  bool use_tracker_;
+  std::optional<CoalescingTracker> tracker_;
   std::vector<std::byte> local_arena_;
   std::vector<VM> vms_;
   std::vector<WorkItemInfo> items_;

@@ -196,6 +196,81 @@ TEST(WgLoops, WgLoopsOffBuildIsUnchanged) {
   }
 }
 
+bool is_memory_op(clc::RegOp op) {
+  return op >= clc::RegOp::LoadI8 && op <= clc::RegOp::SIdxF64;
+}
+
+/// The memory slots (RegInstr::aux) of `code`'s memory instructions, in
+/// program order.
+std::vector<std::int32_t> memory_slots(const std::vector<clc::RegInstr>& code) {
+  std::vector<std::int32_t> slots;
+  for (const clc::RegInstr& in : code) {
+    if (is_memory_op(in.op)) slots.push_back(in.aux);
+  }
+  return slots;
+}
+
+// lower_module numbers every memory instruction of the module, helpers
+// included, with a dense slot 0..mem_slots-1: the coalescing tracker's
+// array index. The kernel's wg copy runs the same memory instructions, so
+// it keeps each slot, and the analysis changes no slot.
+TEST(WgLoops, MemorySlotsAreDenseModuleWideAndKeptByWgCopy) {
+  const std::string source = R"CLC(
+float gather(__global const float* src, __global float* seen, uint i) {
+  float v = src[i] + src[i + 1u];
+  seen[i] = v;
+  return v;
+}
+
+__kernel void k(__global const float* src, __global float* seen,
+                __global float* out) {
+  __local float tile[16];
+  uint lid = (uint)get_local_id(0);
+  uint base = (uint)get_group_id(0) * 16u;
+  tile[lid] = gather(src, seen, base + lid);
+  barrier(CLK_LOCAL_MEM_FENCE);
+  out[base + lid] = tile[15u - lid] + src[base];
+}
+)CLC";
+  const clc::Module m = compile_with(source, "-O2");
+  ASSERT_TRUE(m.has_wg_form());
+  const std::size_t k = kernel_index(m, "k");
+  const std::size_t helper = kernel_index(m, "gather");
+  ASSERT_TRUE(m.wg_info[k].eligible);
+  EXPECT_GT(m.wg_info[k].hoisted, 0u);
+
+  std::vector<std::int32_t> all;
+  for (const clc::RegFunction& fn : m.reg_functions) {
+    const std::vector<std::int32_t> slots = memory_slots(fn.code);
+    all.insert(all.end(), slots.begin(), slots.end());
+  }
+  EXPECT_FALSE(memory_slots(m.reg_functions[helper].code).empty());
+  EXPECT_FALSE(memory_slots(m.reg_functions[k].code).empty());
+  ASSERT_EQ(all.size(), m.mem_slots);
+  std::sort(all.begin(), all.end());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i], static_cast<std::int32_t>(i));
+  }
+
+  // The wg copy: every slot of the kernel, in the same order; prologues
+  // hold no memory instruction.
+  EXPECT_EQ(memory_slots(m.wg_info[k].fn.code),
+            memory_slots(m.reg_functions[k].code));
+  EXPECT_TRUE(memory_slots(m.wg_info[k].prologues).empty());
+
+  const clc::Module off = compile_with(source, "-O2 -cl-wg-loops=off");
+  EXPECT_EQ(off.mem_slots, m.mem_slots);
+  ASSERT_EQ(off.reg_functions.size(), m.reg_functions.size());
+  for (std::size_t f = 0; f < m.reg_functions.size(); ++f) {
+    const std::vector<clc::RegInstr>& on_code = m.reg_functions[f].code;
+    const std::vector<clc::RegInstr>& off_code = off.reg_functions[f].code;
+    ASSERT_EQ(on_code.size(), off_code.size());
+    for (std::size_t i = 0; i < on_code.size(); ++i) {
+      EXPECT_EQ(on_code[i].aux, off_code[i].aux) << "instruction " << i;
+    }
+  }
+}
+
 // The transpose tile's resume region computes its tile origin from
 // get_group_id: two queries and two shifts the whole group shares. They
 // move into that region's prologue, and because the lowering reuses their

@@ -10,10 +10,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "clsim/coalescing.hpp"
+#include "clc/coalescing.hpp"
 #include "support/error.hpp"
 
-using hplrepro::clsim::CoalescingTracker;
+using hplrepro::clc::CoalescingTracker;
 
 namespace {
 
@@ -21,7 +21,7 @@ TEST(Coalescing, FullyCoalescedWarpUsesMinimalSegments) {
   CoalescingTracker tracker(32, 32);
   // 32 lanes touch consecutive floats: 128 bytes = 4 segments of 32 B.
   for (std::uint64_t lane = 0; lane < 32; ++lane) {
-    tracker.global_access(/*pc=*/1, lane, /*buffer=*/0, lane * 4, 4, false);
+    tracker.access_key(/*pc=*/1, lane, /*buffer=*/0, lane * 4, 4);
   }
   EXPECT_EQ(tracker.finish(), 4u);
 }
@@ -30,7 +30,7 @@ TEST(Coalescing, StridedWarpPaysOneSegmentPerLane) {
   CoalescingTracker tracker(32, 32);
   // Stride of 128 bytes: every lane lands in its own segment.
   for (std::uint64_t lane = 0; lane < 32; ++lane) {
-    tracker.global_access(1, lane, 0, lane * 128, 4, false);
+    tracker.access_key(1, lane, 0, lane * 128, 4);
   }
   EXPECT_EQ(tracker.finish(), 32u);
 }
@@ -38,7 +38,7 @@ TEST(Coalescing, StridedWarpPaysOneSegmentPerLane) {
 TEST(Coalescing, SameAddressBroadcastIsOneSegment) {
   CoalescingTracker tracker(32, 32);
   for (std::uint64_t lane = 0; lane < 32; ++lane) {
-    tracker.global_access(1, lane, 0, 4096, 4, false);
+    tracker.access_key(1, lane, 0, 4096, 4);
   }
   EXPECT_EQ(tracker.finish(), 1u);
 }
@@ -47,7 +47,7 @@ TEST(Coalescing, SeparateWarpsCountSeparately) {
   CoalescingTracker tracker(32, 32);
   // Two warps, each coalesced: 4 + 4 segments.
   for (std::uint64_t item = 0; item < 64; ++item) {
-    tracker.global_access(1, item, 0, item * 4, 4, false);
+    tracker.access_key(1, item, 0, item * 4, 4);
   }
   EXPECT_EQ(tracker.finish(), 8u);
 }
@@ -55,8 +55,8 @@ TEST(Coalescing, SeparateWarpsCountSeparately) {
 TEST(Coalescing, DistinctInstructionsTrackIndependently) {
   CoalescingTracker tracker(32, 32);
   for (std::uint64_t lane = 0; lane < 32; ++lane) {
-    tracker.global_access(1, lane, 0, lane * 4, 4, false);       // coalesced
-    tracker.global_access(2, lane, 0, lane * 256, 4, false);     // scattered
+    tracker.access_key(1, lane, 0, lane * 4, 4);       // coalesced
+    tracker.access_key(2, lane, 0, lane * 256, 4);     // scattered
   }
   EXPECT_EQ(tracker.finish(), 4u + 32u);
 }
@@ -64,7 +64,7 @@ TEST(Coalescing, DistinctInstructionsTrackIndependently) {
 TEST(Coalescing, DifferentBuffersNeverMerge) {
   CoalescingTracker tracker(32, 32);
   for (std::uint64_t lane = 0; lane < 32; ++lane) {
-    tracker.global_access(1, lane, /*buffer=*/lane % 2, 0, 4, false);
+    tracker.access_key(1, lane, /*buffer=*/lane % 2, 0, 4);
   }
   // Same offset but two buffers: 2 segments.
   EXPECT_EQ(tracker.finish(), 2u);
@@ -73,14 +73,14 @@ TEST(Coalescing, DifferentBuffersNeverMerge) {
 TEST(Coalescing, AccessSpanningSegmentsCountsBoth) {
   CoalescingTracker tracker(32, 32);
   // An 8-byte access at offset 28 crosses the 32-byte boundary.
-  tracker.global_access(1, 0, 0, 28, 8, false);
+  tracker.access_key(1, 0, 0, 28, 8);
   EXPECT_EQ(tracker.finish(), 2u);
 }
 
 TEST(Coalescing, WarpSizeOneCountsEveryAccess) {
   CoalescingTracker tracker(1, 32);
   for (std::uint64_t item = 0; item < 8; ++item) {
-    tracker.global_access(1, item, 0, item * 4, 4, false);
+    tracker.access_key(1, item, 0, item * 4, 4);
   }
   // Each item forms its own warp: 8 transactions even though consecutive.
   EXPECT_EQ(tracker.finish(), 8u);
@@ -88,14 +88,14 @@ TEST(Coalescing, WarpSizeOneCountsEveryAccess) {
 
 TEST(Coalescing, ResetClearsState) {
   CoalescingTracker tracker(32, 32);
-  tracker.global_access(1, 0, 0, 0, 4, false);
+  tracker.access_key(1, 0, 0, 0, 4);
   tracker.reset();
   EXPECT_EQ(tracker.finish(), 0u);
 }
 
 TEST(Coalescing, FinishIsIdempotent) {
   CoalescingTracker tracker(32, 32);
-  tracker.global_access(1, 0, 0, 0, 4, false);
+  tracker.access_key(1, 0, 0, 0, 4);
   EXPECT_EQ(tracker.finish(), 1u);
   EXPECT_EQ(tracker.finish(), 0u);
 }
@@ -161,14 +161,49 @@ private:
   std::uint64_t transactions_ = 0;
 };
 
+// The tracker under test, fed either through its keyed entry point (the
+// stack interpreter's path) or through its slot path with each key mapped
+// to the next free slot on first appearance, as lower_module numbers a
+// module's memory instructions. The mapping is static, like a module's, so
+// reset() keeps it.
+class Subject {
+public:
+  static constexpr std::uint32_t kSlots = 256;
+
+  Subject(unsigned warp_size, unsigned segment_bytes, bool slotted)
+      : tracker_(warp_size, segment_bytes, slotted ? kSlots : 0),
+        slotted_(slotted) {}
+
+  void access_key(std::uint32_t key, std::uint64_t item_linear,
+                  std::uint64_t buffer, std::uint64_t offset,
+                  std::uint32_t size) {
+    if (!slotted_) {
+      tracker_.access_key(key, item_linear, buffer, offset, size);
+      return;
+    }
+    const auto [it, added] = slot_of_.try_emplace(
+        key, static_cast<std::uint32_t>(slot_of_.size()));
+    ASSERT_LT(it->second, kSlots);
+    tracker_.access(it->second, item_linear, buffer, offset, size);
+  }
+
+  std::uint64_t finish() { return tracker_.finish(); }
+  void reset() { tracker_.reset(); }
+
+private:
+  CoalescingTracker tracker_;
+  bool slotted_;
+  std::unordered_map<std::uint32_t, std::uint32_t> slot_of_;
+};
+
 // Seeded random access streams shaped like kernel execution — items in
-// order, each issuing from a set of memory instructions (more than the
-// table's initial capacity, some in other functions' pc_key ranges), with
-// occasional backward item jumps — over several buffers, with 1/4/8/16 B
-// accesses placed to straddle segment boundaries, and finish()/reset()
-// mid-stream. The 64 B and 128 B segments make the 16 B accesses and the
-// segment jitter cross boundaries at other alignments than 32 B does.
-TEST(Coalescing, FlatTableMatchesReferenceOnRandomStreams) {
+// order, each issuing from a set of memory instructions (some in other
+// functions' pc_key ranges), with occasional backward item jumps — over
+// several buffers, with 1/4/8/16 B accesses placed to straddle segment
+// boundaries, and finish()/reset() mid-stream. The 64 B and 128 B segments
+// make the 16 B accesses and the segment jitter cross boundaries at other
+// alignments than 32 B does. Replayed through the keyed or the slot path.
+void replay_streams_against_reference(bool slotted) {
   constexpr std::uint32_t kSizes[] = {1, 4, 8, 16};
   for (const unsigned warp : {1u, 8u, 32u}) {
     for (const unsigned segment : {32u, 64u, 128u}) {
@@ -185,7 +220,7 @@ TEST(Coalescing, FlatTableMatchesReferenceOnRandomStreams) {
           keys.push_back(static_cast<std::uint32_t>(below(3) << 20) |
                          static_cast<std::uint32_t>(below(4096)));
         }
-        CoalescingTracker tracker(warp, segment);
+        Subject tracker(warp, segment, slotted);
         ReferenceTracker reference(warp, segment);
 
         std::uint64_t item = 0;
@@ -199,7 +234,7 @@ TEST(Coalescing, FlatTableMatchesReferenceOnRandomStreams) {
           const std::uint64_t offset =
               below(8) == 0 ? below(1u << 20)
                             : item * stride + below(segment);
-          tracker.global_access(key, item, buffer, offset, size, false);
+          tracker.access_key(key, item, buffer, offset, size);
           reference.global_access(key, item, buffer, offset, size);
 
           const std::uint64_t roll = below(100);
@@ -237,12 +272,12 @@ TEST(Coalescing, FlatTableMatchesReferenceOnRandomStreams) {
                      std::to_string(seed));
         std::mt19937_64 rng(seed * 7919 + warp * 10 + segment);
         auto below = [&](std::uint64_t n) { return rng() % n; };
-        CoalescingTracker tracker(warp, segment);
+        Subject tracker(warp, segment, slotted);
         ReferenceTracker reference(warp, segment);
         auto access = [&](std::uint32_t key, std::uint64_t item,
                           std::uint64_t buffer, std::uint64_t offset,
                           std::uint32_t size) {
-          tracker.global_access(key, item, buffer, offset, size, false);
+          tracker.access_key(key, item, buffer, offset, size);
           reference.global_access(key, item, buffer, offset, size);
         };
 
@@ -290,6 +325,30 @@ TEST(Coalescing, FlatTableMatchesReferenceOnRandomStreams) {
       }
     }
   }
+}
+
+TEST(Coalescing, FlatTableMatchesReferenceOnRandomStreams) {
+  replay_streams_against_reference(/*slotted=*/false);
+}
+
+// The register VMs' path: one array index per access.
+TEST(Coalescing, SlotPathMatchesReferenceOnRandomStreams) {
+  replay_streams_against_reference(/*slotted=*/true);
+}
+
+// Keyed instructions take slots past the module's, so a key never shares
+// state with a slot of the same number; reset() drops the keyed slots.
+TEST(Coalescing, KeyedSlotsFollowModuleSlots) {
+  CoalescingTracker tracker(32, 32, 2);
+  for (std::uint64_t lane = 0; lane < 32; ++lane) {
+    tracker.access(0, lane, 0, lane * 4, 4);        // coalesced: 4
+    tracker.access_key(0, lane, 0, lane * 128, 4);  // scattered: 32
+  }
+  EXPECT_EQ(tracker.finish(), 4u + 32u);
+  tracker.access_key(0, 0, 0, 0, 4);
+  tracker.reset();
+  tracker.access(1, 0, 0, 0, 4);
+  EXPECT_EQ(tracker.finish(), 1u);
 }
 
 // The tracker divides by shifting, so it refuses sizes a shift cannot

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "clsim/runtime.hpp"
 
@@ -261,6 +262,38 @@ TEST(Executor, StatsCountItemsAndGroups) {
   EXPECT_EQ(event.stats().groups, 16u);
   EXPECT_EQ(event.stats().global_store_bytes, 1024u * 4);
   EXPECT_GT(event.stats().global_transactions, 0u);
+}
+
+// Coalescing reaches the timing model through the tracker: a coalesced
+// store costs 4 segments of 32 B per 32-lane warp on the Tesla in every
+// interpreter (the stack VM keys the tracker by pc, the register VMs by
+// memory slot), and the CPU, which does not model coalescing, counts none.
+TEST(Executor, TransactionsFollowTheDeviceInEveryInterpreter) {
+  const char* src = R"(
+__kernel void k(__global int* o) {
+  o[get_global_id(0)] = 1;
+  barrier(CLK_GLOBAL_MEM_FENCE);
+  o[get_global_id(0)] += 2;
+})";
+  for (const char* device : {"Tesla", "Xeon"}) {
+    for (const char* options :
+         {"-cl-interp=stack", "-cl-wg-loops=off", "-cl-wg-loops=on"}) {
+      SCOPED_TRACE(std::string(device) + " " + options);
+      clsim::Context context(*clsim::Platform::get().device_by_name(device));
+      clsim::CommandQueue queue(context);
+      clsim::Buffer buffer(context, 1024 * 4);
+      clsim::Program program(context, src);
+      program.build(options);
+      clsim::Kernel kernel(program, "k");
+      kernel.set_arg(0, buffer);
+      const auto event = queue.enqueue_ndrange_kernel(
+          kernel, clsim::NDRange(1024), clsim::NDRange(64));
+      EXPECT_EQ(event.stats().global_store_bytes, 2u * 1024 * 4);
+      // Three accesses per item (store, load, store), each 32 warps x 4.
+      EXPECT_EQ(event.stats().global_transactions,
+                std::string(device) == "Tesla" ? 3u * 32 * 4 : 0u);
+    }
+  }
 }
 
 TEST(Executor, BarrierGlobalVisibility) {
