@@ -192,12 +192,18 @@ void print_opt_pipeline_table() {
 // "geomean_barrier" row reports the wg-loops speedup over the dedicated
 // barrier-kernel rows (barrier_kernel_names()), whose geometries make
 // group scheduling — what region looping replaces — the dominant cost.
+// The lane_kernel_names() rows close the table: straight-line elementwise
+// kernels that the work-group VM runs in lane groups.
 void print_interp_table(hplrepro::bench::JsonReporter& json) {
   constexpr int kRepeats = 9;
   const clsim::Device device =
       *clsim::Platform::get().device_by_name("Tesla");
   std::vector<std::string> names = bs::corpus_kernel_names();
   for (const std::string& name : bs::barrier_kernel_names()) {
+    names.push_back(name);
+  }
+  const std::size_t barrier_end = names.size();
+  for (const std::string& name : bs::lane_kernel_names()) {
     names.push_back(name);
   }
   std::printf("{\n  \"interpreter\": [\n");
@@ -228,7 +234,7 @@ void print_interp_table(hplrepro::bench::JsonReporter& json) {
     const double wg_speedup = threaded_wall / wg_wall;
     log_sum += std::log(speedup);
     log_sum_wg += std::log(stack_wall / wg_wall);
-    if (i >= corpus_rows) {  // the barrier_kernel_names() rows
+    if (i >= corpus_rows && i < barrier_end) {  // barrier_kernel_names()
       log_sum_barrier += std::log(wg_speedup);
       ++barrier_rows;
     }

@@ -338,6 +338,34 @@ StencilConfig jacobi_corpus_config() {
   return config;
 }
 
+// The patterns.hpp axpy as HPL generates it: one straight-line region
+// whose every item touches only its own elements.
+const char* kAxpySource = R"CLC(
+__kernel void axpy(__global float* y, __global const float* x, float a) {
+  const size_t idx = get_global_id(0);
+  y[idx] = a * x[idx] + y[idx];
+}
+)CLC";
+
+void run_axpy(const clsim::Device& device, const std::string& options,
+              CorpusRun& run) {
+  constexpr std::size_t kItems = 1 << 16;
+  SplitMix64 rng(0xA3B1);
+  std::vector<float> x(kItems), y(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    x[i] = rng.next_float();
+    y[i] = rng.next_float();
+  }
+  CorpusHarness h(device, kAxpySource, options, "axpy", run);
+  clsim::Buffer yb = h.make_buffer(kItems * sizeof(float), y.data());
+  clsim::Buffer xb = h.make_buffer(kItems * sizeof(float), x.data());
+  h.kernel().set_arg(0, yb);
+  h.kernel().set_arg(1, xb);
+  h.kernel().set_arg(2, 2.5f);
+  h.launch(clsim::NDRange{kItems}, clsim::NDRange{256});
+  h.read_output(yb);
+}
+
 }  // namespace
 
 const std::vector<std::string>& corpus_kernel_names() {
@@ -350,6 +378,11 @@ const std::vector<std::string>& corpus_kernel_names() {
 const std::vector<std::string>& barrier_kernel_names() {
   static const std::vector<std::string> names = {"reduction_big",
                                                  "jacobi_big"};
+  return names;
+}
+
+const std::vector<std::string>& lane_kernel_names() {
+  static const std::vector<std::string> names = {"axpy"};
   return names;
 }
 
@@ -379,6 +412,8 @@ CorpusRun run_corpus_kernel(const std::string& name,
     run_jacobi_ring(device, build_options, run);
   } else if (name == "transpose") {
     run_transpose(device, build_options, run);
+  } else if (name == "axpy") {
+    run_axpy(device, build_options, run);
   } else {
     throw hplrepro::InvalidArgument("unknown corpus kernel '" + name + "'");
   }

@@ -53,6 +53,12 @@ const std::vector<std::string>& corpus_kernel_names();
 /// corpus_kernel_names() (scenario cells and opt tables stay 8-wide).
 const std::vector<std::string>& barrier_kernel_names();
 
+/// Straight-line elementwise extra rows: "axpy" (y = a * x + y over 64K
+/// floats, the patterns.hpp kernel), whose one region the work-group VM
+/// runs in lane groups. Accepted by run_corpus_kernel; not part of
+/// corpus_kernel_names().
+const std::vector<std::string>& lane_kernel_names();
+
 /// Builds and runs corpus kernel `name` on `device` with the given
 /// clBuildProgram-style options ("" = driver default, "-cl-opt-disable"
 /// = unoptimized). Throws InvalidArgument for an unknown name.

@@ -345,6 +345,29 @@ struct WgInfo {
   /// Per region entry: offset of its prologue in `prologues`, -1 when
   /// nothing was hoisted from its heads.
   std::vector<std::int32_t> prologue_start;
+
+  /// Per region entry: may the work-group VM run the region's items in
+  /// lockstep lane groups? Set when every global or __local store in the
+  /// region addresses its root pointer at a lane-injective index (the
+  /// dim-0 global or local id, plus or minus region-invariant values,
+  /// through integer conversions) and every other access to a stored root
+  /// uses that same index, stride and size; helpers the region calls must
+  /// not touch memory. See DESIGN.md §4b.
+  std::vector<char> lanes;
+  /// Per region entry: the first rule that keeps the region scalar (a
+  /// static string for the build log), nullptr when `lanes` is set.
+  std::vector<const char*> scalar_reason;
+  /// A kernel argument a lane region uses as a memory root. `index`
+  /// names the one lane-injective index (with stride and size) every
+  /// access through this argument uses, 0 when they differ or are not
+  /// lane-injective. Arguments that alias at launch are checked again.
+  struct LaneRoot {
+    std::uint16_t param = 0;
+    bool stored = false;
+    std::uint32_t index = 0;
+  };
+  /// Per region entry: its argument roots (empty for scalar regions).
+  std::vector<std::vector<LaneRoot>> lane_roots;
 };
 
 /// A compiled translation unit plus its entry-point table.

@@ -33,8 +33,11 @@ CoalescingTracker::CoalescingTracker(unsigned warp_size,
 void CoalescingTracker::insert(Slot& state, std::uint64_t first,
                                std::uint64_t last) {
   for (std::uint64_t seg = first; seg <= last; ++seg) {
-    if (std::find(state.segments.begin(), state.segments.end(), seg) ==
-        state.segments.end()) {
+    if (state.segments.empty() || seg > state.top) {
+      state.segments.push_back(seg);
+      state.top = seg;
+    } else if (std::find(state.segments.begin(), state.segments.end(), seg) ==
+               state.segments.end()) {
       state.segments.push_back(seg);
     }
   }

@@ -72,6 +72,9 @@ public:
                   std::uint64_t buffer, std::uint64_t offset,
                   std::uint32_t size);
 
+  /// Items per warp.
+  unsigned warp_size() const { return 1u << warp_shift_; }
+
   /// Flushes pending warps and returns the transaction count since the
   /// last reset.
   std::uint64_t finish();
@@ -82,12 +85,16 @@ public:
 private:
   struct Slot {
     std::uint64_t warp = UINT64_MAX;
+    // Largest segment in `segments` (meaningless while it is empty): a
+    // segment above it is new without a scan.
+    std::uint64_t top = 0;
     // Segments touched by the current warp at this instruction. Accesses
     // are usually strided, so a small vector with linear scan beats a set.
     std::vector<std::uint64_t> segments;
   };
 
-  /// Adds the segments first..last the warp has not touched yet.
+  /// Adds the segments first..last the warp has not touched yet. Streams
+  /// mostly ascend, so only a segment at or below `top` is searched for.
   void insert(Slot& state, std::uint64_t first, std::uint64_t last);
 
   unsigned warp_shift_;     // log2(warp size)

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <type_traits>
 
 #include "clc/builtins.hpp"
@@ -120,33 +121,55 @@ float apply_math_builtin_f(Builtin id, const float* a) {
 // would force those locals out of machine registers. The two per-access
 // helpers are always inlined; every load and store handler calls both.
 
-// Resolves a pointer to host memory, bounds-checked.
-[[gnu::always_inline]] inline std::byte* resolve(const MemoryEnv& mem,
-                                                 std::vector<std::byte>& priv,
-                                                 std::uint64_t ptr,
-                                                 std::size_t size) {
+// Resolves a pointer to host memory; nullptr when the access is out of
+// bounds (access_trap then says why).
+[[gnu::always_inline]] inline std::byte* try_resolve(
+    const MemoryEnv& mem, std::vector<std::byte>& priv, std::uint64_t ptr,
+    std::size_t size) {
   const std::uint64_t offset = pointer_offset(ptr);
   switch (pointer_space(ptr)) {
     case PtrSpace::Global:
     case PtrSpace::Constant: {
       const std::uint64_t buffer = pointer_buffer(ptr);
-      if (buffer >= mem.buffers.size()) trap("bad buffer index");
+      if (buffer >= mem.buffers.size()) return nullptr;
       auto span = mem.buffers[buffer];
-      if (offset + size > span.size()) trap("global access out of bounds");
+      if (offset + size > span.size()) return nullptr;
       return span.data() + offset;
     }
     case PtrSpace::Local:
-      if (offset + size > mem.local.size()) {
-        trap("local access out of bounds");
-      }
+      if (offset + size > mem.local.size()) return nullptr;
       return mem.local.data() + offset;
     case PtrSpace::Private:
-      if (offset + size > priv.size()) {
-        trap("private access out of bounds");
-      }
+      if (offset + size > priv.size()) return nullptr;
       return priv.data() + offset;
   }
+  return nullptr;
+}
+
+// Raises the trap for an access try_resolve refused.
+[[noreturn, gnu::cold, gnu::noinline]] void access_trap(
+    const MemoryEnv& mem, std::uint64_t ptr) {
+  switch (pointer_space(ptr)) {
+    case PtrSpace::Global:
+    case PtrSpace::Constant:
+      if (pointer_buffer(ptr) >= mem.buffers.size()) trap("bad buffer index");
+      trap("global access out of bounds");
+    case PtrSpace::Local:
+      trap("local access out of bounds");
+    case PtrSpace::Private:
+      trap("private access out of bounds");
+  }
   trap("bad pointer space");
+}
+
+// Resolves a pointer to host memory, bounds-checked.
+[[gnu::always_inline]] inline std::byte* resolve(const MemoryEnv& mem,
+                                                 std::vector<std::byte>& priv,
+                                                 std::uint64_t ptr,
+                                                 std::size_t size) {
+  std::byte* host = try_resolve(mem, priv, ptr, size);
+  if (host == nullptr) [[unlikely]] access_trap(mem, ptr);
+  return host;
 }
 
 // Accounts a memory access in the stats and coalescing tracker. `id` names
@@ -199,9 +222,10 @@ std::uint64_t work_item_query(Builtin id, std::uint64_t dim,
   switch (id) {
     case Builtin::GetWorkDim:
       return static_cast<std::uint64_t>(launch.work_dim);
-    case Builtin::GetGlobalId: return in_range ? item.global_id[dim] : 0;
+    case Builtin::GetGlobalId:
+      return in_range ? item.group->global_base[dim] + item.local_id[dim] : 0;
     case Builtin::GetLocalId: return in_range ? item.local_id[dim] : 0;
-    case Builtin::GetGroupId: return in_range ? item.group_id[dim] : 0;
+    case Builtin::GetGroupId: return in_range ? item.group->group_id[dim] : 0;
     case Builtin::GetGlobalSize: return in_range ? launch.global_size[dim] : 1;
     case Builtin::GetLocalSize: return in_range ? launch.local_size[dim] : 1;
     case Builtin::GetNumGroups: return in_range ? launch.num_groups[dim] : 1;
@@ -712,7 +736,7 @@ void RegItemVM::reset(const Module& module, const CompiledFunction& kernel,
       static_cast<std::size_t>(&kernel - module.functions.data());
   const RegFunction& fn = module.reg_functions[index];
   frames_.clear();
-  frames_.push_back(RegFrame{&fn, 0, kRegNoRet, 0, 0});
+  frames_.push_back(RegFrame{&fn, fn.code.data(), 0, kRegNoRet, 1, 0, 0});
   regs_.assign(fn.num_regs, Value{});
   for (std::size_t i = 0; i < args.size(); ++i) regs_[i] = args[i];
   std::copy(fn.consts.begin(), fn.consts.end(),
@@ -731,22 +755,36 @@ std::uint64_t RegItemVM::barrier_site() const {
 // One dispatch loop, two execution shapes. RegRunner::run is the body of
 // both register interpreters (see the comment on the definition below).
 struct RegRunner {
-  template <class VM>
+  template <class VM, bool kLockstep = false>
   static RunStatus run(VM& vm, const MemoryEnv& mem, const LaunchInfo& launch,
                        const WorkItemInfo* items, ExecStats& stats,
                        CoalescingTracker* tracker);
 };
 
 // RegRunner::run is the body of both register interpreters:
-//   - VM = RegItemVM: one work-item per activation; barriers suspend
-//     (return RunStatus::Barrier) exactly as before.
+//   - VM = RegItemVM: one work-item per activation, one lane; barriers
+//     suspend (return RunStatus::Barrier) exactly as before.
 //   - VM = WorkGroupVM: pocl-style work-item loops — every item of the
-//     group executes on this one activation; a barrier saves the item's
-//     cross-region live registers to its spill row and the loop advances
-//     to the next item instead of suspending.
-// All mode-specific code sits in `if constexpr (kWG)` branches, so each
-// instantiation only touches the members its VM actually has.
-template <class VM>
+//     group executes on this one activation, and a barrier saves each
+//     active item's cross-region live registers to its spill row and moves
+//     on instead of suspending. kLockstep = true runs whole lane groups of
+//     race-free regions, n lanes per dispatch; kLockstep = false runs one
+//     lane (item) at a time: regions that are not race-free, groups of
+//     one, and the scalar fallback. Each returns to
+//     WorkGroupVM::run_phase, with switch_ set, when the next lane group
+//     needs the other.
+// Every handler runs its instruction for the n active lanes lo..lo+n-1;
+// outside lockstep n is the constant 1 and the lane loops fold away. The
+// kernel frame's register file is lane-major, register r of lane l at
+// regs_[r * stride + l] (stride = kLanes when a region of the launch runs
+// lane groups, else 1); WorkGroupVM runs a copy of the kernel whose
+// register operands are pre-multiplied by the stride (WorkGroupVM::code_),
+// so with R at lane lo an operand of lane lo+l is one index, R[field + l],
+// in either VM. Helper frames are plain windows run by one lane (a Call
+// drops to the scalar fallback). All mode-specific code sits in
+// `if constexpr` branches, so each instantiation only touches the members
+// its VM actually has.
+template <class VM, bool kLockstep>
 RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
                          const LaunchInfo& launch, const WorkItemInfo* items,
                          ExecStats& stats, CoalescingTracker* tracker) {
@@ -758,30 +796,48 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
   std::uint64_t fuel = vm.fuel_;
   RegFrame* fr = &vm.frames_.back();
   const RegFunction* fn = fr->fn;
-  const RegInstr* code = fn->code.data();
-  Value* R = vm.regs_.data() + fr->base;
+  const RegInstr* code = fr->code;
   const RegInstr* in = nullptr;  // the instruction being executed
 
-  // Which work-item is executing: fixed in item mode, the loop cursor in
-  // wg mode (the region entry below rebinds item/priv when switching items).
+  // The active lanes lo..lo+VM_N-1 and what they see: R addresses lane lo
+  // of the current frame's registers; item[l] and priv[l] are the
+  // identifiers and private arena of lane lo+l. Fixed in item mode; in wg
+  // mode the region loop head below rebinds them. VM_N is the constant 1
+  // outside lockstep.
+  std::size_t lo = 0;
+  [[maybe_unused]] std::size_t lanes = 1;
+#define VM_N (kLockstep ? lanes : std::size_t{1})
+  std::size_t base = 0;  // the item lane 0 runs
+  Value* R = vm.regs_.data() + fr->base;
   const WorkItemInfo* item = items;
   std::vector<std::byte>* priv = nullptr;
-  [[maybe_unused]] std::size_t cur = static_cast<std::size_t>(-1);
-  if constexpr (!kWG) priv = &vm.private_arena_;
+  if constexpr (kWG) {
+    base = vm.group_base_;
+  } else {
+    priv = &vm.private_arena_;
+  }
+  // Binds the active lanes of the kernel frame (wg mode).
+#define VM_BIND_LANES()                                                     \
+  do {                                                                      \
+    R = vm.regs_.data() + lo;                                               \
+    item = items + base + lo;                                               \
+    priv = vm.privs_.data() + base + lo;                                    \
+  } while (0)
 
-  // Block-level accounting: one histogram bump and one fuel burn per block
-  // entry, precomputed at lowering time. Summed over a run this equals the
-  // stack interpreter's per-instruction counting exactly. Leaves `in` at
-  // the block's first instruction.
+  // Block-level accounting: one histogram bump per active lane and one
+  // fuel burn per block entry, precomputed at lowering time (lanes in
+  // lockstep burn the same per-item budget). Summed over a run this equals
+  // the stack interpreter's per-instruction counting exactly. Leaves `in`
+  // at the block's first instruction.
 #define VM_ENTER_BLOCK(B)                                                   \
   do {                                                                      \
     const RegBlock& entered = fn->blocks[B];                                \
-    stats.control_ops += entered.control_ops;                               \
-    stats.int_ops += entered.int_ops;                                       \
-    stats.float_ops += entered.float_ops;                                   \
-    stats.double_ops += entered.double_ops;                                 \
-    stats.special_ops += entered.special_ops;                               \
-    stats.fused_ops += entered.fused_ops;                                   \
+    stats.control_ops += entered.control_ops * VM_N;                        \
+    stats.int_ops += entered.int_ops * VM_N;                                \
+    stats.float_ops += entered.float_ops * VM_N;                            \
+    stats.double_ops += entered.double_ops * VM_N;                          \
+    stats.special_ops += entered.special_ops * VM_N;                        \
+    stats.fused_ops += entered.fused_ops * VM_N;                            \
     if (fuel < entered.fuel) {                                              \
       trap("instruction budget exhausted (infinite loop?)");                \
     }                                                                       \
@@ -789,13 +845,29 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
     in = code + entered.start;                                              \
   } while (0)
 
-  // Accounts the current memory instruction's access of CTYPE at PTR and
-  // yields its host address, bounds-checked.
-#define VM_ACCESS(PTR, CTYPE, STORE)                                        \
-  (note_access<false>(stats, tracker, item->linear_in_group, (PTR),         \
-                      sizeof(CTYPE), (STORE),                               \
-                      static_cast<std::uint32_t>(in->aux)),                 \
-   resolve(mem, *priv, (PTR), sizeof(CTYPE)))
+  // Runs the statements for every active lane l (lane lo+l).
+#define VM_LANES(...)                                                       \
+  for (std::size_t l = 0; l < VM_N; ++l) {                                  \
+    __VA_ARGS__                                                             \
+  }
+  // Lane lo of a register operand.
+#define VM_ROW(REG) (R + (REG))
+
+  // Accounts lane l's access of CTYPE at PTR by the current memory
+  // instruction and declares HOST, its bounds-checked host address. A
+  // lockstep fault records where it happened before trapping, so
+  // WorkGroupVM::run_phase can let the lower lanes finish first.
+#define VM_ACCESS(HOST, PTR, CTYPE, STORE)                                  \
+  note_access<false>(stats, tracker, item[l].linear_in_group, (PTR),        \
+                     sizeof(CTYPE), (STORE),                                \
+                     static_cast<std::uint32_t>(in->aux));                  \
+  std::byte* const HOST = try_resolve(mem, priv[l], (PTR), sizeof(CTYPE));  \
+  if (HOST == nullptr) [[unlikely]] {                                       \
+    if constexpr (kLockstep) {                                              \
+      vm.fault_ = {true, static_cast<std::uint32_t>(l), in, fuel};          \
+    }                                                                       \
+    access_trap(mem, (PTR));                                                \
+  }
 
   static const void* const kLabels[] = {
 #define HPLREPRO_VM_LABEL(name) &&L_##name,
@@ -812,48 +884,77 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 
   // One trip per region entry. Item mode makes exactly one: kernel entry
   // accounts block 0, resumption after a barrier the barrier's resume
-  // block. In wg mode a handler that ends an item's region (kernel-level
-  // return or barrier) `continue`s here to run the next item.
+  // block. In wg mode a handler that ends a region for the active lanes
+  // (kernel-level return or barrier) `continue`s here to run the next lane
+  // of a scalar fallback or the next lane group.
   for (;;) {
     if constexpr (kWG) {
-      // Advance the work-item loop to the next unfinished item and enter
-      // its pending region: restore its spill row into the shared register
-      // file, reset the per-item fuel budget (each item-region entry gets
-      // the full budget, exactly like a per-item run() call), account the
-      // region's entry block. Barriers only occur at frame depth 1
-      // (eligible kernels have no barriers inside callees), so fr/fn/code/R
-      // still address the kernel frame, whose window starts at regs_[0].
-      const std::size_t n = vm.group_items_;
-      const bool phase_start = cur == static_cast<std::size_t>(-1);
-      std::size_t i = cur + 1;  // first trip: cur == size_t(-1) wraps to 0
-      while (i < n && vm.done_[i]) ++i;
-      if (i >= n) {
+      WorkGroupVM::Fallback& fb = vm.fallback_;
+      if (!kLockstep && fb.in != nullptr) {
+        if (fb.next < fb.end) {
+          // The next lane finishes the region alone from the divergence
+          // point, with the fuel the lane group had there.
+          lo = fb.next++;
+          VM_BIND_LANES();
+          fuel = fb.fuel;
+          in = fb.in;
+          VM_JUMP
+        }
+        fb.in = nullptr;
+        if (fb.stop) return RunStatus::Done;
+      }
+      // Advance to the next lane group of the phase and enter its region:
+      // restore each item's spill row into its lane, reset the per-item
+      // fuel budget (each item-region entry gets the full budget, exactly
+      // like a per-item run() call), account the region's entry block.
+      // Barriers only occur at frame depth 1 (eligible kernels have no
+      // barriers inside callees), so fr/fn/code still address the kernel
+      // frame, whose window starts at regs_[0].
+      const std::size_t items_n = vm.group_items_;
+      const bool phase_start = vm.group_width_ == 0;
+      base = vm.group_base_ + vm.group_width_;
+      if (base >= items_n) {
         // The phase is over: every item has finished or waits at a barrier.
         return vm.phase_at_barrier_ != 0 ? RunStatus::Barrier
                                          : RunStatus::Done;
       }
-      cur = i;
-      item = items + cur;
-      priv = &vm.privs_[cur];
-      const std::uint32_t entry = vm.pending_[cur];
+      const std::uint32_t entry = vm.phase_entry_;
+      const std::size_t width =
+          vm.lanes_by_block_[entry]
+              ? std::min(WorkGroupVM::kLanes, items_n - base)
+              : 1;
+      if ((width > 1) != kLockstep) {
+        vm.switch_ = true;  // the other instantiation runs this lane group
+        return RunStatus::Done;
+      }
+      vm.group_base_ = base;
+      vm.group_width_ = width;
+      lo = 0;
+      lanes = width;
+      VM_BIND_LANES();
+      const std::size_t L = vm.stride_;
       const auto span = vm.restore_by_block_[entry];
       const auto* pairs = vm.spill_pairs_.data() + span.begin;
-      // A fresh item (pending block 0) restores from the argument image; a
-      // resumed one from the spill columns its barrier save wrote.
-      const Value* src = entry == 0
-                             ? vm.spill_init_.data()
-                             : vm.spills_.data() + cur * vm.spill_stride_;
-      for (std::uint32_t k = 0; k < span.len; ++k) {
-        R[pairs[k].first] = src[pairs[k].second];
+      for (std::size_t l = 0; l < width; ++l) {
+        // A fresh item (entry block 0) restores from the argument image; a
+        // resumed one from the spill columns its barrier save wrote.
+        const Value* src =
+            entry == 0 ? vm.spill_init_.data()
+                       : vm.spills_.data() + (base + l) * vm.spill_stride_;
+        for (std::uint32_t k = 0; k < span.len; ++k) {
+          R[pairs[k].first * L + l] = src[pairs[k].second];
+        }
       }
       fuel = vm.fuel_;
-      ++vm.regions_executed_;
+      vm.regions_executed_ += width;
       const RegInstr* prologue = vm.prologue_by_block_[entry];
       if (phase_start && prologue != nullptr) {
         // Every item of the phase enters this region (the divergent-barrier
         // trap guarantees it), so its group-invariant values are computed
-        // once, here; the prologue's closing Br enters the block for the
-        // first item with the usual accounting.
+        // once, here, for the first lane group's lanes (run_group
+        // broadcasts them to the others after the phase); the prologue's
+        // closing Br enters the block for those lanes with the usual
+        // accounting.
         in = prologue;
       } else {
         VM_ENTER_BLOCK(entry);
@@ -864,27 +965,40 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 
     VM_JUMP
 
-  VM_CASE(Mov) { R[in->dst] = R[in->a]; }
+  VM_CASE(Mov) {
+    Value* const d = VM_ROW(in->dst);
+    const Value* const a = VM_ROW(in->a);
+    VM_LANES(d[l] = a[l];)
+  }
   VM_NEXT
 
   VM_CASE(PrivPtr) {
-    R[in->dst].u64 =
+    Value* const d = VM_ROW(in->dst);
+    const std::uint64_t ptr =
         make_pointer(PtrSpace::Private, 0,
                      fr->priv_base + static_cast<std::uint64_t>(in->imm));
+    VM_LANES(d[l].u64 = ptr;)
   }
   VM_NEXT
 
   VM_CASE(PtrAdd) {
-    R[in->dst].u64 = pointer_add(R[in->a].u64, R[in->b].i64 * in->imm);
+    Value* const d = VM_ROW(in->dst);
+    const Value* const a = VM_ROW(in->a);
+    const Value* const b = VM_ROW(in->b);
+    const std::int64_t scale = in->imm;
+    VM_LANES(d[l].u64 = pointer_add(a[l].u64, b[l].i64 * scale);)
   }
   VM_NEXT
 
 #define HPLREPRO_RLOAD(NAME, CTYPE, FIELD, EXT)                             \
   VM_CASE(NAME) {                                                           \
-    const std::uint64_t ptr = R[in->a].u64;                                 \
-    CTYPE raw;                                                              \
-    std::memcpy(&raw, VM_ACCESS(ptr, CTYPE, false), sizeof(CTYPE));         \
-    R[in->dst].FIELD = EXT(raw);                                            \
+    Value* const d = VM_ROW(in->dst);                                       \
+    const Value* const a = VM_ROW(in->a);                                   \
+    VM_LANES(const std::uint64_t ptr = a[l].u64;                            \
+             VM_ACCESS(host, ptr, CTYPE, false)                             \
+             CTYPE raw;                                                     \
+             std::memcpy(&raw, host, sizeof(CTYPE));                        \
+             d[l].FIELD = EXT(raw);)                                        \
   }                                                                         \
   VM_NEXT
   HPLREPRO_RLOAD(LoadI8, std::int8_t, i64, static_cast<std::int64_t>)
@@ -900,9 +1014,12 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 
 #define HPLREPRO_RSTORE(NAME, CTYPE, FIELD)                                 \
   VM_CASE(NAME) {                                                           \
-    const std::uint64_t ptr = R[in->a].u64;                                 \
-    const CTYPE raw = static_cast<CTYPE>(R[in->b].FIELD);                   \
-    std::memcpy(VM_ACCESS(ptr, CTYPE, true), &raw, sizeof(CTYPE));          \
+    const Value* const a = VM_ROW(in->a);                                   \
+    const Value* const b = VM_ROW(in->b);                                   \
+    VM_LANES(const std::uint64_t ptr = a[l].u64;                            \
+             const CTYPE raw = static_cast<CTYPE>(b[l].FIELD);              \
+             VM_ACCESS(host, ptr, CTYPE, true)                              \
+             std::memcpy(host, &raw, sizeof(CTYPE));)                       \
   }                                                                         \
   VM_NEXT
   HPLREPRO_RSTORE(StoreI8, std::int8_t, i64)
@@ -915,11 +1032,16 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 
 #define HPLREPRO_RLIDX(NAME, CTYPE, FIELD, EXT)                             \
   VM_CASE(NAME) {                                                           \
-    const std::uint64_t ptr =                                               \
-        pointer_add(R[in->a].u64, R[in->b].i64 * in->imm);                  \
-    CTYPE raw;                                                              \
-    std::memcpy(&raw, VM_ACCESS(ptr, CTYPE, false), sizeof(CTYPE));         \
-    R[in->dst].FIELD = EXT(raw);                                            \
+    Value* const d = VM_ROW(in->dst);                                       \
+    const Value* const a = VM_ROW(in->a);                                   \
+    const Value* const b = VM_ROW(in->b);                                   \
+    const std::int64_t scale = in->imm;                                     \
+    VM_LANES(                                                               \
+        const std::uint64_t ptr = pointer_add(a[l].u64, b[l].i64 * scale);  \
+        VM_ACCESS(host, ptr, CTYPE, false)                                  \
+        CTYPE raw;                                                          \
+        std::memcpy(&raw, host, sizeof(CTYPE));                             \
+        d[l].FIELD = EXT(raw);)                                             \
   }                                                                         \
   VM_NEXT
   HPLREPRO_RLIDX(LIdxI8, std::int8_t, i64, static_cast<std::int64_t>)
@@ -935,10 +1057,15 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 
 #define HPLREPRO_RSIDX(NAME, CTYPE, FIELD)                                  \
   VM_CASE(NAME) {                                                           \
-    const std::uint64_t ptr =                                               \
-        pointer_add(R[in->a].u64, R[in->b].i64 * in->imm);                  \
-    const CTYPE raw = static_cast<CTYPE>(R[in->c].FIELD);                   \
-    std::memcpy(VM_ACCESS(ptr, CTYPE, true), &raw, sizeof(CTYPE));          \
+    const Value* const a = VM_ROW(in->a);                                   \
+    const Value* const b = VM_ROW(in->b);                                   \
+    const Value* const c = VM_ROW(in->c);                                   \
+    const std::int64_t scale = in->imm;                                     \
+    VM_LANES(                                                               \
+        const std::uint64_t ptr = pointer_add(a[l].u64, b[l].i64 * scale);  \
+        const CTYPE raw = static_cast<CTYPE>(c[l].FIELD);                   \
+        VM_ACCESS(host, ptr, CTYPE, true)                                   \
+        std::memcpy(host, &raw, sizeof(CTYPE));)                            \
   }                                                                         \
   VM_NEXT
   HPLREPRO_RSIDX(SIdxI8, std::int8_t, i64)
@@ -951,9 +1078,11 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 
 #define HPLREPRO_RBIN(NAME, FIELD, EXPR)                                    \
   VM_CASE(NAME) {                                                           \
-    const Value a = R[in->a];                                               \
-    const Value b = R[in->b];                                               \
-    R[in->dst].FIELD = (EXPR);                                              \
+    Value* const d = VM_ROW(in->dst);                                       \
+    const Value* const x = VM_ROW(in->a);                                   \
+    const Value* const y = VM_ROW(in->b);                                   \
+    VM_LANES(const Value a = x[l]; const Value b = y[l];                    \
+             d[l].FIELD = (EXPR);)                                          \
   }                                                                         \
   VM_NEXT
   // Wrapping integer arithmetic on the u64 view, as in the stack VM.
@@ -1002,85 +1131,119 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
   HPLREPRO_RBIN(GeD, i64, a.f64 >= b.f64 ? 1 : 0)
 #undef HPLREPRO_RBIN
 
-#define HPLREPRO_RUN1(NAME, STMT)                                           \
-  VM_CASE(NAME) { STMT; }                                                   \
+#define HPLREPRO_RUN1(NAME, FIELD, EXPR)                                    \
+  VM_CASE(NAME) {                                                           \
+    Value* const d = VM_ROW(in->dst);                                       \
+    const Value* const x = VM_ROW(in->a);                                   \
+    VM_LANES(const Value a = x[l]; d[l].FIELD = (EXPR);)                    \
+  }                                                                         \
   VM_NEXT
-  HPLREPRO_RUN1(NegI, R[in->dst].u64 = 0 - R[in->a].u64)
-  HPLREPRO_RUN1(NotI, R[in->dst].u64 = ~R[in->a].u64)
-  HPLREPRO_RUN1(NegF, R[in->dst].f32 = -R[in->a].f32)
-  HPLREPRO_RUN1(NegD, R[in->dst].f64 = -R[in->a].f64)
-  HPLREPRO_RUN1(LNot, R[in->dst].i64 = R[in->a].i64 == 0 ? 1 : 0)
-  HPLREPRO_RUN1(Bool, R[in->dst].i64 = R[in->a].i64 != 0 ? 1 : 0)
-  HPLREPRO_RUN1(Sext8,
-                R[in->dst].i64 = static_cast<std::int8_t>(R[in->a].i64))
-  HPLREPRO_RUN1(Sext16,
-                R[in->dst].i64 = static_cast<std::int16_t>(R[in->a].i64))
-  HPLREPRO_RUN1(Sext32,
-                R[in->dst].i64 = static_cast<std::int32_t>(R[in->a].i64))
-  HPLREPRO_RUN1(Zext8, R[in->dst].u64 = R[in->a].u64 & 0xFFull)
-  HPLREPRO_RUN1(Zext16, R[in->dst].u64 = R[in->a].u64 & 0xFFFFull)
-  HPLREPRO_RUN1(Zext32, R[in->dst].u64 = R[in->a].u64 & 0xFFFFFFFFull)
-  HPLREPRO_RUN1(Zext1, R[in->dst].u64 = R[in->a].u64 & 1ull)
-  HPLREPRO_RUN1(I2F, R[in->dst].f32 = static_cast<float>(R[in->a].i64))
-  HPLREPRO_RUN1(I2D, R[in->dst].f64 = static_cast<double>(R[in->a].i64))
-  HPLREPRO_RUN1(U2F, R[in->dst].f32 = static_cast<float>(R[in->a].u64))
-  HPLREPRO_RUN1(U2D, R[in->dst].f64 = static_cast<double>(R[in->a].u64))
-  HPLREPRO_RUN1(F2I, R[in->dst].i64 = checked_trunc_i64(R[in->a].f32))
-  HPLREPRO_RUN1(D2I, R[in->dst].i64 = checked_trunc_i64(R[in->a].f64))
-  HPLREPRO_RUN1(F2U, R[in->dst].u64 = checked_trunc_u64(R[in->a].f32))
-  HPLREPRO_RUN1(D2U, R[in->dst].u64 = checked_trunc_u64(R[in->a].f64))
-  HPLREPRO_RUN1(F2D, R[in->dst].f64 = static_cast<double>(R[in->a].f32))
-  HPLREPRO_RUN1(D2F, R[in->dst].f32 = static_cast<float>(R[in->a].f64))
+  HPLREPRO_RUN1(NegI, u64, 0 - a.u64)
+  HPLREPRO_RUN1(NotI, u64, ~a.u64)
+  HPLREPRO_RUN1(NegF, f32, -a.f32)
+  HPLREPRO_RUN1(NegD, f64, -a.f64)
+  HPLREPRO_RUN1(LNot, i64, a.i64 == 0 ? 1 : 0)
+  HPLREPRO_RUN1(Bool, i64, a.i64 != 0 ? 1 : 0)
+  HPLREPRO_RUN1(Sext8, i64, static_cast<std::int8_t>(a.i64))
+  HPLREPRO_RUN1(Sext16, i64, static_cast<std::int16_t>(a.i64))
+  HPLREPRO_RUN1(Sext32, i64, static_cast<std::int32_t>(a.i64))
+  HPLREPRO_RUN1(Zext8, u64, a.u64 & 0xFFull)
+  HPLREPRO_RUN1(Zext16, u64, a.u64 & 0xFFFFull)
+  HPLREPRO_RUN1(Zext32, u64, a.u64 & 0xFFFFFFFFull)
+  HPLREPRO_RUN1(Zext1, u64, a.u64 & 1ull)
+  HPLREPRO_RUN1(I2F, f32, static_cast<float>(a.i64))
+  HPLREPRO_RUN1(I2D, f64, static_cast<double>(a.i64))
+  HPLREPRO_RUN1(U2F, f32, static_cast<float>(a.u64))
+  HPLREPRO_RUN1(U2D, f64, static_cast<double>(a.u64))
+  HPLREPRO_RUN1(F2I, i64, checked_trunc_i64(a.f32))
+  HPLREPRO_RUN1(D2I, i64, checked_trunc_i64(a.f64))
+  HPLREPRO_RUN1(F2U, u64, checked_trunc_u64(a.f32))
+  HPLREPRO_RUN1(D2U, u64, checked_trunc_u64(a.f64))
+  HPLREPRO_RUN1(F2D, f64, static_cast<double>(a.f32))
+  HPLREPRO_RUN1(D2F, f32, static_cast<float>(a.f64))
 #undef HPLREPRO_RUN1
 
   VM_CASE(MadI) {
     // Integer add commutes, so the operand-order bit is irrelevant here.
-    R[in->dst].u64 = R[in->a].u64 * R[in->b].u64 + R[in->c].u64;
+    Value* const d = VM_ROW(in->dst);
+    const Value* const x = VM_ROW(in->a);
+    const Value* const y = VM_ROW(in->b);
+    const Value* const z = VM_ROW(in->c);
+    VM_LANES(d[l].u64 = x[l].u64 * y[l].u64 + z[l].u64;)
   }
   VM_NEXT
 
   VM_CASE(MadF) {
     // Two roundings, addend order per the encoding — bit-identical with
     // the stack interpreter's MadF.
-    const float t = R[in->a].f32 * R[in->b].f32;
-    const float z = R[in->c].f32;
-    R[in->dst].f32 = in->aux == 0 ? t + z : z + t;
+    Value* const d = VM_ROW(in->dst);
+    const Value* const x = VM_ROW(in->a);
+    const Value* const y = VM_ROW(in->b);
+    const Value* const z = VM_ROW(in->c);
+    const bool product_first = in->aux == 0;
+    VM_LANES(const float t = x[l].f32 * y[l].f32; const float w = z[l].f32;
+             d[l].f32 = product_first ? t + w : w + t;)
   }
   VM_NEXT
 
   VM_CASE(MadD) {
-    const double t = R[in->a].f64 * R[in->b].f64;
-    const double z = R[in->c].f64;
-    R[in->dst].f64 = in->aux == 0 ? t + z : z + t;
+    Value* const d = VM_ROW(in->dst);
+    const Value* const x = VM_ROW(in->a);
+    const Value* const y = VM_ROW(in->b);
+    const Value* const z = VM_ROW(in->c);
+    const bool product_first = in->aux == 0;
+    VM_LANES(const double t = x[l].f64 * y[l].f64; const double w = z[l].f64;
+             d[l].f64 = product_first ? t + w : w + t;)
   }
   VM_NEXT
 
   VM_CASE(Br) { VM_ENTER_BLOCK(static_cast<std::uint32_t>(in->aux)); }
   VM_JUMP
 
+  // Lanes that disagree, and calls, end lockstep: each lane of the group
+  // then runs alone from this instruction with the fuel the group had
+  // (the scalar fallback).
+#define VM_FALL_BACK()                                                      \
+  do {                                                                      \
+    vm.fallback_ = {in, fuel, 0, static_cast<std::uint32_t>(lanes), false}; \
+    vm.switch_ = true;                                                      \
+    return RunStatus::Done;                                                 \
+  } while (0)
+
   VM_CASE(BrIf) {
-    VM_ENTER_BLOCK(R[in->a].i64 != 0 ? in->dst
-                                     : static_cast<std::uint32_t>(in->aux));
+    const Value* const cond = VM_ROW(in->a);
+    const bool taken = cond[0].i64 != 0;
+    if constexpr (kLockstep) {
+      for (std::size_t l = 1; l < VM_N; ++l) {
+        if ((cond[l].i64 != 0) != taken) VM_FALL_BACK();
+      }
+    }
+    VM_ENTER_BLOCK(taken ? in->dst : static_cast<std::uint32_t>(in->aux));
   }
   VM_JUMP
 
+  // Calls run one lane at a time. A helper frame is a plain register
+  // window.
   VM_CASE(Call) {
+    if constexpr (kLockstep) VM_FALL_BACK();
     if (vm.frames_.size() >= 64) trap("call stack overflow");
     const RegFunction& callee =
         vm.module_->reg_functions[static_cast<std::size_t>(in->aux)];
+    const std::size_t stride = fr->stride;
+    const auto caller = static_cast<std::size_t>(R - vm.regs_.data());
     fr->pc = static_cast<std::uint32_t>(in + 1 - code);
     RegFrame next;
     next.fn = &callee;
-    next.ret_reg = in->b ? static_cast<std::uint32_t>(fr->base + in->dst)
+    next.code = callee.code.data();
+    next.ret_reg = in->b ? static_cast<std::uint32_t>(caller + in->dst)
                          : kRegNoRet;
     next.base = vm.regs_.size();
     next.priv_base = fr->priv_base + fn->private_bytes;
-    const std::size_t abase = fr->base + in->a;
     // resize value-initializes the new registers (callee locals are zero,
     // like the stack interpreter's fresh slots).
     vm.regs_.resize(next.base + callee.num_regs);
     for (std::size_t i = 0; i < callee.num_params; ++i) {
-      vm.regs_[next.base + i] = vm.regs_[abase + i];
+      vm.regs_[next.base + i] = vm.regs_[caller + in->a + i * stride];
     }
     std::copy(callee.consts.begin(), callee.consts.end(),
               vm.regs_.begin() + next.base + callee.const_base());
@@ -1090,33 +1253,38 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
     vm.frames_.push_back(next);
     fr = &vm.frames_.back();
     fn = &callee;
-    code = fn->code.data();
+    code = fr->code;
     R = vm.regs_.data() + fr->base;
     VM_ENTER_BLOCK(0);
   }
   VM_JUMP
 
+  // Back to the caller, whose window holds lane lo at `R` again.
+#define VM_POP_FRAME()                                                      \
+  do {                                                                      \
+    vm.regs_.resize(fr->base);                                              \
+    vm.frames_.pop_back();                                                  \
+    if (vm.frames_.empty()) return RunStatus::Done;                         \
+    fr = &vm.frames_.back();                                                \
+    fn = fr->fn;                                                            \
+    code = fr->code;                                                        \
+    R = vm.regs_.data() + fr->base + (vm.frames_.size() == 1 ? lo : 0);     \
+    in = code + fr->pc;                                                     \
+  } while (0)
+
   VM_CASE(Ret) {
     if constexpr (kWG) {
       if (vm.frames_.size() == 1) {
-        // Kernel-level return: this item is finished. Keep the shared
-        // kernel frame and move the loop to the next unfinished item.
-        vm.done_[cur] = 1;
-        ++vm.done_count_;
-        ++vm.phase_finished_;
+        // Kernel-level return: the active items are finished. Keep the
+        // shared kernel frame and move the loop on.
+        vm.done_count_ += VM_N;
+        vm.phase_finished_ += VM_N;
         continue;
       }
     }
     const Value result = R[in->a];
     const std::uint32_t rr = fr->ret_reg;
-    vm.regs_.resize(fr->base);
-    vm.frames_.pop_back();
-    if (vm.frames_.empty()) return RunStatus::Done;
-    fr = &vm.frames_.back();
-    fn = fr->fn;
-    code = fn->code.data();
-    R = vm.regs_.data() + fr->base;
-    in = code + fr->pc;
+    VM_POP_FRAME();
     if (rr != kRegNoRet) vm.regs_[rr] = result;
   }
   VM_JUMP
@@ -1124,26 +1292,18 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
   VM_CASE(RetVoid) {
     if constexpr (kWG) {
       if (vm.frames_.size() == 1) {
-        vm.done_[cur] = 1;
-        ++vm.done_count_;
-        ++vm.phase_finished_;
+        vm.done_count_ += VM_N;
+        vm.phase_finished_ += VM_N;
         continue;
       }
     }
-    vm.regs_.resize(fr->base);
-    vm.frames_.pop_back();
-    if (vm.frames_.empty()) return RunStatus::Done;
-    fr = &vm.frames_.back();
-    fn = fr->fn;
-    code = fn->code.data();
-    R = vm.regs_.data() + fr->base;
-    in = code + fr->pc;
+    VM_POP_FRAME();
   }
   VM_JUMP
 
   VM_CASE(Barrier) {
     vm.barrier_flags_ = R[in->a].u64;
-    ++stats.barriers_executed;
+    stats.barriers_executed += VM_N;
     const auto resume = static_cast<std::uint32_t>(in->aux);
     if constexpr (kWG) {
       // A barrier the front end did not record would have made the kernel
@@ -1153,19 +1313,22 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
       }
       // Save the resume block's save list — the live registers a region
       // reaching this barrier may have modified; the rest already sit in
-      // their spill columns — park the item there, run the next item.
+      // their spill columns — for every active item, then move on.
       const auto span = vm.save_by_block_[resume];
       const auto* pairs = vm.spill_pairs_.data() + span.begin;
-      Value* row = vm.spills_.data() + cur * vm.spill_stride_;
-      for (std::uint32_t k = 0; k < span.len; ++k) {
-        row[pairs[k].second] = R[pairs[k].first];
+      const std::size_t L = vm.stride_;
+      for (std::size_t l = 0; l < VM_N; ++l) {
+        Value* row = vm.spills_.data() + (base + lo + l) * vm.spill_stride_;
+        for (std::uint32_t k = 0; k < span.len; ++k) {
+          row[pairs[k].second] = R[pairs[k].first * L + l];
+        }
       }
-      vm.pending_[cur] = resume;
-      if (vm.phase_at_barrier_++ == 0) {
+      if (vm.phase_at_barrier_ == 0) {
         vm.phase_resume_ = resume;
       } else if (resume != vm.phase_resume_) {
         vm.phase_diverged_ = true;
       }
+      vm.phase_at_barrier_ += VM_N;
       continue;
     } else {
       // Suspend: the register file (regs_/frames_) is the saved state; the
@@ -1176,70 +1339,83 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
   }
 
   VM_CASE(WorkItem) {
-    R[in->dst].u64 = work_item_query(static_cast<Builtin>(in->aux),
-                                     R[in->a].u64, launch, *item);
+    Value* const d = VM_ROW(in->dst);
+    const Value* const dim = VM_ROW(in->a);
+    const auto id = static_cast<Builtin>(in->aux);
+    VM_LANES(d[l].u64 = work_item_query(id, dim[l].u64, launch, item[l]);)
   }
   VM_NEXT
 
   VM_CASE(BuiltinFn) {
     const auto id = static_cast<Builtin>(in->aux);
     const int arity = in->b;
-    const Value* args = &R[in->a];
+    Value* const d = VM_ROW(in->dst);
+    // Argument i of lane l sits at args[i * stride + l].
+    const Value* const args = VM_ROW(in->a);
+    const std::size_t stride = fr->stride;
     switch (in->c) {
       case 1: {  // f32
-        float a[3] = {0, 0, 0};
-        for (int i = 0; i < arity; ++i) a[i] = args[i].f32;
-        R[in->dst].f32 = apply_math_builtin_f(id, a);
+        VM_LANES(float a[3] = {0, 0, 0};
+                 for (int i = 0; i < arity; ++i) a[i] = args[i * stride + l].f32;
+                 d[l].f32 = apply_math_builtin_f(id, a);)
         break;
       }
       case 2: {  // f64
-        double a[3] = {0, 0, 0};
-        for (int i = 0; i < arity; ++i) a[i] = args[i].f64;
-        R[in->dst].f64 = apply_math_builtin_d(id, a);
+        VM_LANES(double a[3] = {0, 0, 0};
+                 for (int i = 0; i < arity; ++i) a[i] = args[i * stride + l].f64;
+                 d[l].f64 = apply_math_builtin_d(id, a);)
         break;
       }
       case 0: {  // signed integer
-        std::int64_t a[3] = {0, 0, 0};
-        for (int i = 0; i < arity; ++i) a[i] = args[i].i64;
-        std::int64_t v = 0;
-        switch (id) {
-          case Builtin::Min: v = a[0] < a[1] ? a[0] : a[1]; break;
-          case Builtin::Max: v = a[0] > a[1] ? a[0] : a[1]; break;
-          case Builtin::Abs:
-            v = static_cast<std::int64_t>(abs_wrapping(a[0]));
-            break;
-          case Builtin::Clamp:
-            v = a[0] < a[1] ? a[1] : (a[0] > a[2] ? a[2] : a[0]);
-            break;
-          default:
-            trap("bad integer builtin");
-        }
-        R[in->dst].i64 = v;
+        VM_LANES(
+            std::int64_t a[3] = {0, 0, 0};
+            for (int i = 0; i < arity; ++i) a[i] = args[i * stride + l].i64;
+            std::int64_t v = 0;
+            switch (id) {
+              case Builtin::Min: v = a[0] < a[1] ? a[0] : a[1]; break;
+              case Builtin::Max: v = a[0] > a[1] ? a[0] : a[1]; break;
+              case Builtin::Abs:
+                v = static_cast<std::int64_t>(abs_wrapping(a[0]));
+                break;
+              case Builtin::Clamp:
+                v = a[0] < a[1] ? a[1] : (a[0] > a[2] ? a[2] : a[0]);
+                break;
+              default:
+                trap("bad integer builtin");
+            }
+            d[l].i64 = v;)
         break;
       }
       default: {  // unsigned integer
-        std::uint64_t a[3] = {0, 0, 0};
-        for (int i = 0; i < arity; ++i) a[i] = args[i].u64;
-        std::uint64_t v = 0;
-        switch (id) {
-          case Builtin::Min: v = a[0] < a[1] ? a[0] : a[1]; break;
-          case Builtin::Max: v = a[0] > a[1] ? a[0] : a[1]; break;
-          case Builtin::Abs: v = a[0]; break;
-          case Builtin::Clamp:
-            v = a[0] < a[1] ? a[1] : (a[0] > a[2] ? a[2] : a[0]);
-            break;
-          default:
-            trap("bad unsigned builtin");
-        }
-        R[in->dst].u64 = v;
+        VM_LANES(
+            std::uint64_t a[3] = {0, 0, 0};
+            for (int i = 0; i < arity; ++i) a[i] = args[i * stride + l].u64;
+            std::uint64_t v = 0;
+            switch (id) {
+              case Builtin::Min: v = a[0] < a[1] ? a[0] : a[1]; break;
+              case Builtin::Max: v = a[0] > a[1] ? a[0] : a[1]; break;
+              case Builtin::Abs: v = a[0]; break;
+              case Builtin::Clamp:
+                v = a[0] < a[1] ? a[1] : (a[0] > a[2] ? a[2] : a[0]);
+                break;
+              default:
+                trap("bad unsigned builtin");
+            }
+            d[l].u64 = v;)
         break;
       }
     }
   }
   VM_NEXT
   }
+#undef VM_N
+#undef VM_FALL_BACK
+#undef VM_BIND_LANES
 #undef VM_ENTER_BLOCK
+#undef VM_LANES
+#undef VM_ROW
 #undef VM_ACCESS
+#undef VM_POP_FRAME
 #undef VM_CASE
 #undef VM_JUMP
 #undef VM_NEXT
@@ -1253,9 +1429,105 @@ RunStatus RegItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
 
 // --- Work-group execution mode ----------------------------------------------
 
+namespace {
+
+// Do the lanes of one lane group run consecutive dim-0 ids? Lane groups
+// are consecutive linear items, which stay in one row of the group when
+// the rows are whole multiples of the lane count.
+bool lane_ids_consecutive(const LaunchInfo& launch, std::size_t lanes) {
+  return launch.local_size[1] * launch.local_size[2] == 1 ||
+         launch.local_size[0] % lanes == 0;
+}
+
+// The launch-time half of the lanes rule: arguments that share memory
+// are one root. Roots at the same address must agree on their one index
+// when either is stored; roots that overlap at different addresses keep
+// the region scalar when either is stored. Buffer arguments may name one
+// buffer through several table entries, so global roots are compared by
+// host address.
+bool roots_disjoint(const std::vector<WgInfo::LaneRoot>& roots,
+                    std::span<const Value> args,
+                    std::span<const std::span<std::byte>> buffers) {
+  // The host range a pointer argument addresses (its whole buffer from
+  // the pointer on), or the arena offset for __local.
+  struct Range {
+    bool local;
+    std::uintptr_t begin;
+    std::uintptr_t end;
+  };
+  const auto range_of = [&](std::uint64_t ptr) {
+    const std::uint64_t offset = pointer_offset(ptr);
+    if (pointer_space(ptr) == PtrSpace::Local) {
+      return Range{true, offset, UINTPTR_MAX};
+    }
+    const std::uint64_t buffer = pointer_buffer(ptr);
+    if (buffer >= buffers.size()) return Range{false, 0, 0};
+    const auto data = reinterpret_cast<std::uintptr_t>(buffers[buffer].data());
+    return Range{false, data + offset, data + buffers[buffer].size()};
+  };
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    for (std::size_t j = i + 1; j < roots.size(); ++j) {
+      const WgInfo::LaneRoot& a = roots[i];
+      const WgInfo::LaneRoot& b = roots[j];
+      if (!a.stored && !b.stored) continue;
+      const Range ra = range_of(args[a.param].u64);
+      const Range rb = range_of(args[b.param].u64);
+      if (ra.local != rb.local) continue;
+      const bool overlap = ra.begin < rb.end && rb.begin < ra.end;
+      if (!overlap && !ra.local) continue;
+      if (ra.begin != rb.begin) return false;
+      if (a.index == 0 || a.index != b.index) return false;
+    }
+  }
+  return true;
+}
+
+// Multiplies the register operands of `in` by `lanes`, the stride of the
+// work-group VM's lane-major kernel frame. Block ids, callee and builtin
+// ids, counts and immediates stay.
+void scale_registers(RegInstr& in, std::uint16_t lanes) {
+  const RegOp op = in.op;
+  const auto between = [&](RegOp lo, RegOp hi) {
+    return static_cast<int>(op) >= static_cast<int>(lo) &&
+           static_cast<int>(op) <= static_cast<int>(hi);
+  };
+  bool dst = false, a = false, b = false, c = false;
+  if (op == RegOp::Mov || op == RegOp::WorkItem ||
+      between(RegOp::LoadI8, RegOp::LoadF64) ||
+      between(RegOp::NegI, RegOp::D2F)) {
+    dst = a = true;
+  } else if (op == RegOp::PrivPtr) {
+    dst = true;
+  } else if (op == RegOp::PtrAdd || between(RegOp::LIdxI8, RegOp::LIdxF64) ||
+             between(RegOp::AddI, RegOp::GeD)) {
+    dst = a = b = true;
+  } else if (between(RegOp::StoreI8, RegOp::StoreF64)) {
+    a = b = true;
+  } else if (between(RegOp::SIdxI8, RegOp::SIdxF64)) {
+    a = b = c = true;
+  } else if (between(RegOp::MadI, RegOp::MadD)) {
+    dst = a = b = c = true;
+  } else if (op == RegOp::BrIf || op == RegOp::Ret || op == RegOp::Barrier) {
+    a = true;  // BrIf's dst is a block
+  } else if (op == RegOp::Call) {
+    a = true;
+    dst = in.b != 0;
+  } else if (op == RegOp::BuiltinFn) {
+    dst = a = true;  // b is the arity, c the scalar class
+  }
+  if (dst) in.dst = static_cast<std::uint16_t>(in.dst * lanes);
+  if (a) in.a = static_cast<std::uint16_t>(in.a * lanes);
+  if (b) in.b = static_cast<std::uint16_t>(in.b * lanes);
+  if (c) in.c = static_cast<std::uint16_t>(in.c * lanes);
+}
+
+}  // namespace
+
 void WorkGroupVM::prepare(const Module& module, const CompiledFunction& kernel,
                           std::span<const Value> args,
-                          std::size_t group_items) {
+                          std::span<const std::span<std::byte>> buffers,
+                          const LaunchInfo& launch,
+                          const CoalescingTracker* tracker) {
   if (!module.has_wg_form()) {
     throw InternalError("WorkGroupVM::prepare: module has no wg form");
   }
@@ -1272,9 +1544,10 @@ void WorkGroupVM::prepare(const Module& module, const CompiledFunction& kernel,
   wg_ = &module.wg_info[index];
   uses_barrier_ = kernel.uses_barrier;
   kernel_priv_bytes_ = kernel_fn_->private_bytes;
+  const std::size_t group_items =
+      launch.local_size[0] * launch.local_size[1] * launch.local_size[2];
   group_items_ = group_items;
 
-  args_.assign(args.begin(), args.end());
 
   // Per-item spill row template: parameter registers get the launch
   // arguments (parameters occupy registers 0..num_params-1), everything
@@ -1288,17 +1561,65 @@ void WorkGroupVM::prepare(const Module& module, const CompiledFunction& kernel,
   spills_.resize(group_items * live_n);
   spill_stride_ = live_n;
   privs_.resize(group_items);
-  pending_.assign(group_items, 0);
-  done_.assign(group_items, 0);
 
   // Flatten the per-entry restore/save lists into per-block spans over one
   // contiguous pair array (see vm.hpp). Non-entry blocks keep empty spans;
-  // they are never looked up.
+  // they are never looked up. Likewise each entry's prologue, the
+  // registers it writes and whether the region runs lane groups.
+  // Lane-scaled register numbers must fit the 16-bit operand fields.
+  const bool lanes_ok =
+      lane_ids_consecutive(launch, kLanes) &&
+      (tracker == nullptr || tracker->warp_size() % kLanes == 0) &&
+      static_cast<std::size_t>(wg_->fn.num_regs) * kLanes <= 0x10000;
   const std::size_t nblocks = kernel_fn_->blocks.size();
   spill_pairs_.clear();
   restore_by_block_.assign(nblocks, SpillSpan{});
   save_by_block_.assign(nblocks, SpillSpan{});
   prologue_by_block_.assign(nblocks, nullptr);
+  prologue_dsts_.clear();
+  prologue_dsts_by_block_.assign(nblocks, SpillSpan{});
+  lanes_by_block_.assign(nblocks, 0);
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    const std::int32_t e = wg_->entry_index[b];
+    if (e < 0) continue;
+    const auto entry = static_cast<std::size_t>(e);
+    const std::int32_t prologue = wg_->prologue_start[entry];
+    if (prologue >= 0) {
+      const auto start = static_cast<std::size_t>(prologue);
+      prologue_dsts_by_block_[b].begin =
+          static_cast<std::uint32_t>(prologue_dsts_.size());
+      for (std::size_t i = start; wg_->prologues[i].op != RegOp::Br; ++i) {
+        prologue_dsts_.push_back(wg_->prologues[i].dst);
+      }
+      prologue_dsts_by_block_[b].len = static_cast<std::uint32_t>(
+          prologue_dsts_.size() - prologue_dsts_by_block_[b].begin);
+    }
+    lanes_by_block_[b] = lanes_ok && wg_->lanes[entry] &&
+                         roots_disjoint(wg_->lane_roots[entry], args, buffers);
+    const auto& restore = wg_->entry_lists[entry];
+    restore_by_block_[b].begin = static_cast<std::uint32_t>(
+        spill_pairs_.size());
+    restore_by_block_[b].len = static_cast<std::uint32_t>(restore.size());
+    spill_pairs_.insert(spill_pairs_.end(), restore.begin(), restore.end());
+    const auto& save = wg_->save_lists[entry];
+    save_by_block_[b].begin = static_cast<std::uint32_t>(spill_pairs_.size());
+    save_by_block_[b].len = static_cast<std::uint32_t>(save.size());
+    spill_pairs_.insert(spill_pairs_.end(), save.begin(), save.end());
+  }
+  // A launch whose regions all run one item at a time keeps a plain
+  // register file.
+  stride_ = std::find(lanes_by_block_.begin(), lanes_by_block_.end(), 1) !=
+                    lanes_by_block_.end()
+                ? kLanes
+                : 1;
+
+  // The kernel and its prologues with lane-scaled register operands.
+  code_ = wg_->fn.code;
+  prologues_ = wg_->prologues;
+  if (stride_ != 1) {
+    for (RegInstr& in : code_) scale_registers(in, kLanes);
+    for (RegInstr& in : prologues_) scale_registers(in, kLanes);
+  }
   for (std::size_t b = 0; b < nblocks; ++b) {
     const std::int32_t e = wg_->entry_index[b];
     if (e < 0) continue;
@@ -1306,17 +1627,68 @@ void WorkGroupVM::prepare(const Module& module, const CompiledFunction& kernel,
         wg_->prologue_start[static_cast<std::size_t>(e)];
     if (prologue >= 0) {
       prologue_by_block_[b] =
-          wg_->prologues.data() + static_cast<std::size_t>(prologue);
+          prologues_.data() + static_cast<std::size_t>(prologue);
     }
-    const auto& restore = wg_->entry_lists[static_cast<std::size_t>(e)];
-    restore_by_block_[b].begin = static_cast<std::uint32_t>(
-        spill_pairs_.size());
-    restore_by_block_[b].len = static_cast<std::uint32_t>(restore.size());
-    spill_pairs_.insert(spill_pairs_.end(), restore.begin(), restore.end());
-    const auto& save = wg_->save_lists[static_cast<std::size_t>(e)];
-    save_by_block_[b].begin = static_cast<std::uint32_t>(spill_pairs_.size());
-    save_by_block_[b].len = static_cast<std::uint32_t>(save.size());
-    spill_pairs_.insert(spill_pairs_.end(), save.begin(), save.end());
+  }
+
+  // Registers no block instruction writes keep these values for every
+  // item of every group: arguments in the parameter registers, the
+  // constant pool in its registers, zeros elsewhere until a prologue
+  // computes them. Item-varying parameters are re-restored per item from
+  // the spill-row argument image, which is harmless.
+  const RegFunction& fn = *kernel_fn_;
+  regs_.assign(wg_->fn.num_regs * stride_, Value{});
+  const std::size_t nparams = std::min<std::size_t>(fn.num_params, args.size());
+  for (std::size_t r = 0; r < nparams; ++r) {
+    std::fill_n(regs_.begin() + r * stride_, stride_, args[r]);
+  }
+  for (std::size_t k = 0; k < fn.consts.size(); ++k) {
+    std::fill_n(regs_.begin() + (fn.const_base() + k) * stride_, stride_,
+                fn.consts[k]);
+  }
+  uniform_regs_ = prologue_dsts_;
+  std::sort(uniform_regs_.begin(), uniform_regs_.end());
+  uniform_regs_.erase(std::unique(uniform_regs_.begin(), uniform_regs_.end()),
+                      uniform_regs_.end());
+  fallback_ = Fallback{};
+  fault_ = Fault{};
+}
+
+void WorkGroupVM::broadcast_prologue(std::uint32_t block) {
+  const SpillSpan span = prologue_dsts_by_block_[block];
+  for (std::uint32_t k = 0; k < span.len; ++k) {
+    Value* row = regs_.data() + prologue_dsts_[span.begin + k] * stride_;
+    std::fill_n(row + 1, stride_ - 1, row[0]);
+  }
+}
+
+void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
+                            const WorkItemInfo* items, ExecStats& stats,
+                            CoalescingTracker* tracker) {
+  fault_.set = false;
+  try {
+    bool lockstep = false;
+    do {
+      switch_ = false;
+      if (lockstep) {
+        RegRunner::run<WorkGroupVM, true>(*this, mem, launch, items, stats,
+                                          tracker);
+      } else {
+        RegRunner::run(*this, mem, launch, items, stats, tracker);
+      }
+      lockstep = !lockstep;
+    } while (switch_);
+  } catch (const TrapError&) {
+    if (!fault_.set || fault_.lane == 0) throw;
+    // A lockstep access trapped in a lane above the first. Run alone, each
+    // lower item would have finished its region before that item started,
+    // so they finish it now, from the instruction after the access, and
+    // the first of them to trap reports instead.
+    const std::exception_ptr trapped = std::current_exception();
+    fallback_ = {fault_.in + 1, fault_.fuel, 0, fault_.lane, true};
+    fault_.set = false;
+    RegRunner::run(*this, mem, launch, items, stats, tracker);
+    std::rethrow_exception(trapped);
   }
 }
 
@@ -1325,42 +1697,39 @@ void WorkGroupVM::run_group(const MemoryEnv& mem, const LaunchInfo& launch,
                             CoalescingTracker* tracker) {
   // The group runs the wg copy of the kernel (hoisted instructions moved
   // to the region prologues); the constant pool stays where the original
-  // function put it.
-  const RegFunction& fn = *kernel_fn_;
+  // function put it. Arguments and the pool were installed by prepare();
+  // the prologue registers start zeroed as in a fresh register file.
   frames_.clear();
-  frames_.push_back(RegFrame{&wg_->fn, 0, kRegNoRet, 0, 0});
-  regs_.assign(wg_->fn.num_regs, Value{});
-  // Registers no block instruction writes keep these values for every
-  // item of the group: arguments in the parameter registers, the constant
-  // pool in its registers, zeros elsewhere until a prologue computes
-  // them. Item-varying parameters are re-restored per item from the
-  // spill-row argument image, which is harmless.
-  const std::size_t nparams =
-      std::min<std::size_t>(fn.num_params, args_.size());
-  for (std::size_t r = 0; r < nparams; ++r) regs_[r] = args_[r];
-  std::copy(fn.consts.begin(), fn.consts.end(),
-            regs_.begin() + fn.const_base());
+  RegFrame kernel_frame;
+  kernel_frame.fn = &wg_->fn;
+  kernel_frame.code = code_.data();
+  kernel_frame.stride = static_cast<std::uint32_t>(stride_);
+  frames_.push_back(kernel_frame);
+  for (const std::uint16_t r : uniform_regs_) {
+    std::fill_n(regs_.begin() + r * stride_, stride_, Value{});
+  }
 
-  // Spill rows need no initialization: pending block 0 restores from the
+  // Spill rows need no initialization: entry block 0 restores from the
   // argument image, and every later restore reads columns its barrier save
   // wrote within this group run.
-  std::fill(done_.begin(), done_.end(), char{0});
-  std::fill(pending_.begin(), pending_.end(), std::uint32_t{0});
   for (std::size_t i = 0; i < group_items_; ++i) {
     privs_[i].assign(kernel_priv_bytes_, std::byte{0});
   }
   done_count_ = 0;
   barrier_flags_ = 0;
+  phase_entry_ = 0;
 
-  // One RegRunner phase runs every unfinished item up to its next barrier
-  // (or exit). Items finishing in a phase where others reached a barrier,
-  // or items waiting at different barriers, is the divergent-barrier
-  // condition — same traps as the item-mode group scheduler in clsim.
+  // One phase runs every item up to its next barrier (or exit). Items
+  // finishing in a phase where others reached a barrier, or items waiting
+  // at different barriers, is the divergent-barrier condition — same traps
+  // as the item-mode group scheduler in clsim.
   while (done_count_ < group_items_) {
     phase_finished_ = 0;
     phase_at_barrier_ = 0;
     phase_diverged_ = false;
-    RegRunner::run(*this, mem, launch, items, stats, tracker);
+    group_base_ = 0;
+    group_width_ = 0;
+    run_phase(mem, launch, items, stats, tracker);
     if (phase_at_barrier_ != 0 && phase_finished_ != 0) {
       throw TrapError(
           "divergent barrier: some work-items exited while others wait at a "
@@ -1371,6 +1740,8 @@ void WorkGroupVM::run_group(const MemoryEnv& mem, const LaunchInfo& launch,
           "divergent barrier: work-items of a group wait at different "
           "barriers");
     }
+    broadcast_prologue(phase_entry_);
+    phase_entry_ = phase_resume_;
   }
   loop_trips_ += group_items_;
 }

@@ -36,11 +36,22 @@ struct LaunchInfo {
   std::uint64_t num_groups[3] = {1, 1, 1};
 };
 
-struct WorkItemInfo {
-  std::uint64_t global_id[3] = {0, 0, 0};
-  std::uint64_t local_id[3] = {0, 0, 0};
+/// The identifiers every work-item of one work-group shares.
+struct WorkGroupInfo {
   std::uint64_t group_id[3] = {0, 0, 0};
+  std::uint64_t global_base[3] = {0, 0, 0};  // group_id * local_size
+};
+
+inline constexpr WorkGroupInfo kFirstGroup{};
+
+/// One work-item's identifiers. Local ids and the linear index are fixed
+/// for a launch; a group scheduler rewrites only the WorkGroupInfo they
+/// point at when it moves to the next group, and get_global_id is
+/// global_base + local_id.
+struct WorkItemInfo {
+  std::uint64_t local_id[3] = {0, 0, 0};
   std::uint64_t linear_in_group = 0;  // used by the coalescing tracker
+  const WorkGroupInfo* group = &kFirstGroup;
 };
 
 /// Memory environment shared by the work-items of one launch/group.
@@ -103,8 +114,10 @@ inline constexpr std::uint32_t kRegNoRet = 0xFFFFFFFFu;
 /// A call frame of the register interpreters (RegItemVM / WorkGroupVM).
 struct RegFrame {
   const RegFunction* fn = nullptr;
+  const RegInstr* code = nullptr;  // fn's code, or WorkGroupVM's lane copy
   std::uint32_t pc = 0;        // saved across calls; live in run()'s locals
   std::uint32_t ret_reg = kRegNoRet;  // absolute index into regs_, or kRegNoRet
+  std::uint32_t stride = 1;    // register r of lane l at base + r*stride + l
   std::size_t base = 0;        // this frame's register window in regs_
   std::size_t priv_base = 0;
 };
@@ -157,17 +170,39 @@ private:
 /// once per group and phase by the region's prologue (WgInfo::prologues),
 /// before the first item enters the region.
 ///
+/// Lanes: a region that analyze_wg_loops marked race-free (WgInfo::lanes,
+/// rechecked per launch for aliasing arguments) runs its items in lane
+/// groups of kLanes consecutive items. The register file is
+/// structure-of-arrays, register r of lane l at `r * kLanes + l`, and one
+/// dispatch executes an instruction for every active lane. A BrIf whose
+/// lanes disagree, or a Call, drops to a scalar fallback: each lane then
+/// finishes the region alone, from that instruction, with the fuel the
+/// lane group had there. Other regions run one item at a time, and a
+/// launch none of whose regions runs lane groups keeps a plain register
+/// file (stride 1).
+///
 /// Fuel and ExecStats accounting stay field-identical to RegItemVM: the
-/// fuel budget is debited per item per region (each item-region entry
-/// resets the local budget, exactly like a per-item run() call), and the
-/// block histograms are accounted per entered block as before.
+/// fuel budget is per item per region (each item-region entry resets it,
+/// exactly like a per-item run() call; lanes in lockstep have all burnt
+/// the same amount), and a block entry adds its histogram once per active
+/// lane. A trap reports what the lowest-numbered trapping item would have
+/// reported running alone.
 class WorkGroupVM {
 public:
-  /// Binds the VM to a kernel (must be wg-eligible per module.wg_info) and
-  /// its launch arguments for groups of `group_items` work-items. Called
-  /// once per launch chunk; run_group reuses all scratch across groups.
+  /// Items per lane group. Divides the 32-item warp of the coalescing
+  /// tracker, so a lane group never spans two warps.
+  static constexpr std::size_t kLanes = 8;
+
+  /// Binds the VM to a kernel (must be wg-eligible per module.wg_info), its
+  /// launch arguments, the buffer table they point into and the launch
+  /// geometry. Called once per launch chunk; run_group reuses all scratch
+  /// across groups. `tracker` is the coalescing tracker run_group will be
+  /// given (nullptr if none): a warp that lane groups would span keeps
+  /// every region scalar.
   void prepare(const Module& module, const CompiledFunction& kernel,
-               std::span<const Value> args, std::size_t group_items);
+               std::span<const Value> args,
+               std::span<const std::span<std::byte>> buffers,
+               const LaunchInfo& launch, const CoalescingTracker* tracker);
 
   /// Runs one whole work-group to completion. `items` must point at
   /// group_items WorkItemInfo entries. Throws TrapError on kernel traps,
@@ -190,6 +225,14 @@ public:
 private:
   friend struct RegRunner;
 
+  /// Runs one phase: every item up to its next barrier or exit.
+  void run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
+                 const WorkItemInfo* items, ExecStats& stats,
+                 CoalescingTracker* tracker);
+  /// Copies lane 0 of every register `block`'s prologue writes to the
+  /// other lanes.
+  void broadcast_prologue(std::uint32_t block);
+
   const Module* module_ = nullptr;
   const RegFunction* kernel_fn_ = nullptr;  // owns the constant pool
   const WgInfo* wg_ = nullptr;              // wg_->fn is the code run
@@ -197,9 +240,14 @@ private:
   std::uint64_t kernel_priv_bytes_ = 0;
   std::size_t group_items_ = 0;
 
-  std::vector<Value> regs_;       // ONE shared register file for the group
+  // The kernel frame's code and prologues with register operands scaled
+  // by stride_, the stride of its lane-major window at regs_[0]: kLanes
+  // when a region of the launch runs lane groups, else 1.
+  std::size_t stride_ = 1;
+  std::vector<RegInstr> code_;
+  std::vector<RegInstr> prologues_;
+  std::vector<Value> regs_;       // ONE shared register file, lane-major
   std::vector<RegFrame> frames_;
-  std::vector<Value> args_;        // launch arguments, installed per group
   std::vector<Value> spill_init_;  // per-item row template: args/zeros
   std::vector<Value> spills_;      // group_items x live_regs rows
   std::size_t spill_stride_ = 0;   // row width (= wg_->live_regs.size())
@@ -218,18 +266,49 @@ private:
   // Per block: the region prologue (WgInfo::prologues) its phase starts
   // with, or nullptr when nothing was hoisted from the region's heads.
   std::vector<const RegInstr*> prologue_by_block_;
+  // Registers the prologue of each entry writes (spans per block), and
+  // their union, which every group starts with zeroed.
+  std::vector<std::uint16_t> prologue_dsts_;
+  std::vector<SpillSpan> prologue_dsts_by_block_;
+  std::vector<std::uint16_t> uniform_regs_;
+  std::vector<char> lanes_by_block_;  // per block: entry runs lane groups
   std::vector<std::vector<std::byte>> privs_;  // per-item private arenas
-  std::vector<std::uint32_t> pending_;  // per-item resume block
-  std::vector<char> done_;
   std::uint64_t barrier_flags_ = 0;
   std::uint64_t fuel_ = 1ull << 62;
 
-  // Phase bookkeeping for the divergent-barrier trap.
+  // Phase bookkeeping. Every item of a phase starts at phase_entry_ (the
+  // divergent-barrier trap ends the group otherwise); the items run in
+  // lane groups [group_base_, group_base_ + group_width_).
+  std::uint32_t phase_entry_ = 0;
+  std::size_t group_base_ = 0;
+  std::size_t group_width_ = 0;
   std::size_t done_count_ = 0;
   std::size_t phase_finished_ = 0;
   std::size_t phase_at_barrier_ = 0;
   std::uint32_t phase_resume_ = 0;  // resume block of the phase's barrier
   bool phase_diverged_ = false;     // an item reached a different barrier
+
+  // Scalar fallback of the current lane group: lanes [next, end) still
+  // have to run alone from `in` with `fuel` left; `stop` ends the phase
+  // after them (trap replay, see run_phase).
+  struct Fallback {
+    const RegInstr* in = nullptr;
+    std::uint64_t fuel = 0;
+    std::uint32_t next = 0;
+    std::uint32_t end = 0;
+    bool stop = false;
+  };
+  Fallback fallback_;
+  // Where a lockstep memory access trapped: lanes [0, lane) had finished
+  // the instruction `in` with `fuel` left.
+  struct Fault {
+    bool set = false;
+    std::uint32_t lane = 0;
+    const RegInstr* in = nullptr;
+    std::uint64_t fuel = 0;
+  };
+  Fault fault_;
+  bool switch_ = false;  // RegRunner left the lane group to the other mode
 
   std::uint64_t loop_trips_ = 0;
   std::uint64_t regions_executed_ = 0;

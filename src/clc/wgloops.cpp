@@ -1,7 +1,9 @@
 #include "clc/wgloops.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <unordered_map>
 #include <span>
 #include <string>
 #include <utility>
@@ -685,7 +687,544 @@ void compute_spill_lists(const Cfg& cfg, const Liveness& live, WgInfo& info) {
   }
 }
 
-WgInfo analyze_kernel(const Module& module, std::size_t index) {
+// --- The lanes rule -----------------------------------------------------------
+
+bool is_memory_op(RegOp op) {
+  return op_between(op, RegOp::LoadI8, RegOp::SIdxF64);
+}
+
+bool is_store_op(RegOp op) {
+  return op_between(op, RegOp::StoreI8, RegOp::StoreF64) ||
+         op_between(op, RegOp::SIdxI8, RegOp::SIdxF64);
+}
+
+/// Bytes a memory instruction accesses.
+std::int64_t access_size(RegOp op) {
+  switch (op) {
+    case RegOp::LoadI8: case RegOp::LoadU8: case RegOp::StoreI8:
+    case RegOp::LIdxI8: case RegOp::LIdxU8: case RegOp::SIdxI8:
+      return 1;
+    case RegOp::LoadI16: case RegOp::LoadU16: case RegOp::StoreI16:
+    case RegOp::LIdxI16: case RegOp::LIdxU16: case RegOp::SIdxI16:
+      return 2;
+    case RegOp::LoadI64: case RegOp::LoadF64: case RegOp::StoreI64:
+    case RegOp::StoreF64: case RegOp::LIdxI64: case RegOp::LIdxF64:
+    case RegOp::SIdxI64: case RegOp::SIdxF64:
+      return 8;
+    default:
+      return 4;
+  }
+}
+
+/// Per function: does it, or anything it calls, contain a memory
+/// instruction?
+std::vector<char> functions_touching_memory(const Module& module) {
+  const std::size_t n = module.reg_functions.size();
+  std::vector<char> touches(n, 0);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t f = 0; f < n; ++f) {
+      if (touches[f]) continue;
+      for (const RegInstr& in : module.reg_functions[f].code) {
+        const bool via_call =
+            in.op == RegOp::Call &&
+            (static_cast<std::size_t>(in.aux) >= n ||
+             touches[static_cast<std::size_t>(in.aux)]);
+        if (is_memory_op(in.op) || via_call) {
+          touches[f] = 1;
+          changed = true;
+          break;
+        }
+      }
+    }
+  }
+  return touches;
+}
+
+/// Abstract value of a register at one point of a region. Uniform values
+/// are region-invariant: the same for every item and at every point of
+/// the region where the register holds them. Lane values are injective
+/// across the items of a lane group, whose dim-0 ids are consecutive
+/// (WorkGroupVM::prepare checks the launch): the dim-0 global or local id
+/// plus or minus uniform values, through integer conversions, or a
+/// grid-stride family of such a base (below). `vn` value-numbers both, so
+/// equal numbers are equal values for one item.
+struct LaneVal {
+  enum Kind : std::uint8_t { Varying, Uniform, Lane, Ptr };
+  static constexpr std::uint32_t kNoRoot = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kPrivate = 0xFFFFFFFEu;
+
+  Kind kind = Varying;
+  /// Lane: which id it derives from (Builtin::GetGlobalId/GetLocalId).
+  std::uint8_t id = 0;
+  /// Uniform: the root register whose value this is, if any. Ptr: the
+  /// root the pointer points into (kPrivate for the item's own arena).
+  std::uint32_t root = kNoRoot;
+  /// Uniform, Lane: the value number. Ptr: the value number of its
+  /// lane-injective element index, 0 when the offset is anything else.
+  std::uint32_t vn = 0;
+  std::int32_t stride = 0;  // Ptr with an index: bytes per element
+
+  bool operator==(const LaneVal&) const = default;
+};
+
+/// Decides WgInfo::lanes for every region of a kernel's wg copy: a
+/// forward dataflow over each region's blocks classifies every register as
+/// uniform, lane-injective or varying, and the region's memory
+/// instructions are then checked against the rule (DESIGN.md §4b).
+///
+/// Grid-stride loops: adding the launch's dim-0 size of the id's kind
+/// (get_global_size(0) to a global-id base, get_local_size(0) to a
+/// local-id base) keeps a lane value in the family {base + k * size}.
+/// Distinct ids of one launch differ by less than that size, so the
+/// families of two items never meet; the family is one index for the
+/// rule, closed under that addition and the base's own conversion.
+class LaneRule {
+public:
+  LaneRule(const Module& module, const RegFunction& orig, const Cfg& cfg,
+           const std::vector<char>& touches_memory, WgInfo& info)
+      : module_(module),
+        orig_(orig),
+        fn_(info.fn),
+        cfg_(cfg),
+        touches_memory_(touches_memory),
+        info_(info),
+        nregs_(info.fn.num_regs),
+        written_(nregs_, 0),
+        base_leaf_(nregs_) {
+    for (const RegInstr& in : fn_.code) {
+      const int d = def_reg(in);
+      if (d >= 0 && static_cast<std::size_t>(d) < nregs_) {
+        written_[static_cast<std::size_t>(d)] = 1;
+      }
+    }
+    // Registers no block instruction writes hold one value for the whole
+    // phase: the arguments and the constant pool (both roots when used
+    // as addresses), prologue results and never-assigned zeros.
+    for (std::size_t r = 0; r < nregs_; ++r) {
+      if (written_[r]) continue;
+      LaneVal& v = base_leaf_[r];
+      v.kind = LaneVal::Uniform;
+      v.vn = number(kRegLeaf, static_cast<std::int64_t>(r));
+      const bool param = r < orig_.num_params;
+      const bool pool = r >= orig_.const_base() && r < orig_.num_regs;
+      if (param || pool) v.root = static_cast<std::uint32_t>(r);
+    }
+  }
+
+  void run() {
+    const std::size_t entries = cfg_.entries.size();
+    info_.lanes.assign(entries, 0);
+    info_.scalar_reason.assign(entries, nullptr);
+    info_.lane_roots.assign(entries, {});
+    for (std::size_t e = 0; e < entries; ++e) {
+      std::vector<WgInfo::LaneRoot> roots;
+      const char* reason = check_region(e, roots);
+      if (reason == nullptr) {
+        info_.lanes[e] = 1;
+        info_.lane_roots[e] = std::move(roots);
+      } else {
+        info_.scalar_reason[e] = reason;
+      }
+    }
+  }
+
+private:
+  struct Access {
+    std::uint32_t root;
+    std::uint32_t index;  // 0: not a lane-injective index
+    bool store;
+  };
+  using Key = std::array<std::int64_t, 5>;
+  // Value-number keys: an opcode (RegOp) and operand numbers, or one of
+  // these leaves and markers.
+  static constexpr std::int64_t kRegLeaf = -1;     // (register)
+  static constexpr std::int64_t kIdLeaf = -2;      // (builtin id)
+  static constexpr std::int64_t kIndexSig = -3;    // (index, stride, size)
+  static constexpr std::int64_t kFamily = -4;      // (base, step)
+  static constexpr std::int64_t kDimZero = -5;     // a dimension operand of 0
+
+  std::uint32_t number(std::int64_t op, std::int64_t x, std::int64_t y = 0,
+                       std::int64_t z = 0, std::int64_t w = 0) {
+    const Key key{op, x, y, z, w};
+    const auto [it, added] = numbers_.try_emplace(
+        key, static_cast<std::uint32_t>(keys_.size() + 1));
+    if (added) keys_.push_back(key);
+    return it->second;
+  }
+
+  const Key& key_of(std::uint32_t vn) const { return keys_[vn - 1]; }
+
+  const LaneVal& value(const std::vector<LaneVal>& state,
+                       std::uint16_t r) const {
+    static const LaneVal kVarying{};
+    if (r >= nregs_) return kVarying;
+    if (!written_[r]) return leaf_[r];
+    return r < state.size() ? state[r] : kVarying;
+  }
+
+  /// A pool register holding 0 (the dimension operand of get_*_id(0)).
+  bool is_zero_const(std::uint16_t r) const {
+    return !written_[r] && r >= orig_.const_base() && r < orig_.num_regs &&
+           orig_.consts[r - orig_.const_base()].u64 == 0;
+  }
+
+  /// Is uniform value `vn` the dim-0 size that strides a family of ids of
+  /// kind `id`, possibly converted?
+  bool is_step(std::uint32_t vn, std::uint8_t id) const {
+    const Key& k = key_of(vn);
+    const auto op = static_cast<RegOp>(k[0]);
+    if (k[0] >= 0 && (op_between(op, RegOp::Sext8, RegOp::Zext32) &&
+                      op != RegOp::Zext1)) {
+      return is_step(static_cast<std::uint32_t>(k[1]), id);
+    }
+    const auto size = static_cast<std::int64_t>(
+        static_cast<Builtin>(id) == Builtin::GetGlobalId
+            ? Builtin::GetGlobalSize
+            : Builtin::GetLocalSize);
+    return k[0] == static_cast<std::int64_t>(RegOp::WorkItem) &&
+           k[1] == size && k[2] == kDimZero;
+  }
+
+  /// The family a lane value `x` plus uniform `step` belongs to, or 0.
+  std::uint32_t family_after_step(const LaneVal& x, const LaneVal& step) {
+    if (!is_step(step.vn, x.id)) return 0;
+    const Key& k = key_of(x.vn);
+    if (k[0] == kFamily) {
+      return k[2] == step.vn ? x.vn : 0;
+    }
+    return number(kFamily, x.vn, step.vn);
+  }
+
+  /// Lane-value merge at a join: a base and its grid-stride family are
+  /// the family.
+  bool merge_lanes(const LaneVal& a, const LaneVal& b, LaneVal& out) const {
+    if (a.kind != LaneVal::Lane || b.kind != LaneVal::Lane || a.id != b.id) {
+      return false;
+    }
+    const auto in_family = [&](const LaneVal& family, const LaneVal& v) {
+      const Key& k = key_of(family.vn);
+      return k[0] == kFamily && static_cast<std::uint32_t>(k[1]) == v.vn;
+    };
+    if (in_family(a, b)) {
+      out = a;
+      return true;
+    }
+    if (in_family(b, a)) {
+      out = b;
+      return true;
+    }
+    return false;
+  }
+
+  LaneVal pointer_plus(const LaneVal& base, const LaneVal& index,
+                       std::int64_t stride, std::int64_t op) {
+    // Element sizes are small; anything else is not a lane index.
+    const bool small = stride > 0 && stride <= 0x7FFFFFFF;
+    LaneVal out;
+    if (base.kind == LaneVal::Uniform && base.root != LaneVal::kNoRoot) {
+      out.kind = LaneVal::Ptr;
+      out.root = base.root;
+      if (index.kind == LaneVal::Lane && small) {
+        out.vn = index.vn;
+        out.stride = static_cast<std::int32_t>(stride);
+      }
+    } else if (base.kind == LaneVal::Ptr) {
+      out.kind = LaneVal::Ptr;
+      out.root = base.root;
+    } else if (base.kind == LaneVal::Uniform &&
+               index.kind == LaneVal::Uniform) {
+      out.kind = LaneVal::Uniform;
+      out.vn = number(op, base.vn, index.vn, stride);
+    }
+    return out;
+  }
+
+  LaneVal def_value(const RegInstr& in, const std::vector<LaneVal>& state) {
+    const RegOp op = in.op;
+    const auto code = static_cast<std::int64_t>(op);
+    const LaneVal& a = value(state, in.a);
+    LaneVal out;
+    switch (op) {
+      case RegOp::Mov:
+        return a;
+      case RegOp::PrivPtr:
+        out.kind = LaneVal::Ptr;
+        out.root = LaneVal::kPrivate;
+        return out;
+      case RegOp::PtrAdd:
+        return pointer_plus(a, value(state, in.b), in.imm, code);
+      case RegOp::WorkItem: {
+        const auto id = static_cast<Builtin>(in.aux);
+        if ((id == Builtin::GetGlobalId || id == Builtin::GetLocalId) &&
+            is_zero_const(in.a)) {
+          out.kind = LaneVal::Lane;
+          out.id = static_cast<std::uint8_t>(in.aux);
+          out.vn = number(kIdLeaf, in.aux);
+        } else if (hoistable_op(in) && a.kind == LaneVal::Uniform) {
+          out.kind = LaneVal::Uniform;
+          out.vn = number(code, in.aux, is_zero_const(in.a) ? kDimZero : a.vn);
+        }
+        return out;
+      }
+      case RegOp::AddI:
+      case RegOp::SubI: {
+        const LaneVal& b = value(state, in.b);
+        const bool add = op == RegOp::AddI;
+        const LaneVal* lane = nullptr;
+        const LaneVal* uniform = nullptr;
+        if (a.kind == LaneVal::Lane && b.kind == LaneVal::Uniform) {
+          lane = &a;
+          uniform = &b;
+        } else if (add && a.kind == LaneVal::Uniform &&
+                   b.kind == LaneVal::Lane) {
+          lane = &b;
+          uniform = &a;
+        }
+        if (lane != nullptr) {
+          out.kind = LaneVal::Lane;
+          out.id = lane->id;
+          out.vn = add ? family_after_step(*lane, *uniform) : 0;
+          if (out.vn == 0) out.vn = number(code, lane->vn, uniform->vn);
+        } else if (a.kind == LaneVal::Uniform && b.kind == LaneVal::Uniform) {
+          out.kind = LaneVal::Uniform;
+          out.vn = add ? number(code, std::min(a.vn, b.vn),
+                                std::max(a.vn, b.vn))
+                       : number(code, a.vn, b.vn);
+        }
+        return out;
+      }
+      case RegOp::Sext8: case RegOp::Sext16: case RegOp::Sext32:
+      case RegOp::Zext8: case RegOp::Zext16: case RegOp::Zext32:
+        // Eight consecutive ids stay distinct modulo 2^8 and above.
+        if (a.kind == LaneVal::Lane || a.kind == LaneVal::Uniform) {
+          out = a;
+          out.root = LaneVal::kNoRoot;
+          const Key& k = key_of(a.vn);
+          // A family whose base already went through this conversion is
+          // closed under it.
+          const bool closed = k[0] == kFamily &&
+                              key_of(static_cast<std::uint32_t>(k[1]))[0] ==
+                                  code;
+          if (!closed) out.vn = number(code, a.vn);
+        }
+        return out;
+      default:
+        break;
+    }
+    if (!hoistable_op(in)) return out;
+    // Any other pure op of uniform operands is uniform.
+    std::int64_t vns[3] = {0, 0, 0};
+    bool uniform = true;
+    for_each_use(module_, in, [&](Slot slot, std::uint16_t r) {
+      const LaneVal& v = value(state, r);
+      if (v.kind != LaneVal::Uniform || slot == Slot::Range) {
+        uniform = false;
+        return;
+      }
+      vns[static_cast<int>(slot)] = v.vn;
+    });
+    if (uniform) {
+      out.kind = LaneVal::Uniform;
+      out.vn = number(code, vns[0], vns[1], vns[2], in.aux ^ in.imm);
+    }
+    return out;
+  }
+
+  void transfer(const RegInstr& in, std::vector<LaneVal>& state) {
+    const int d = def_reg(in);
+    if (d < 0 || static_cast<std::size_t>(d) >= nregs_) return;
+    state[static_cast<std::size_t>(d)] = def_value(in, state);
+  }
+
+  /// Where a memory instruction points, as a LaneVal (Ptr, a rooted
+  /// Uniform, or untracked).
+  LaneVal address(const RegInstr& in, const std::vector<LaneVal>& state) {
+    const LaneVal& base = value(state, in.a);
+    if (op_between(in.op, RegOp::LIdxI8, RegOp::SIdxF64)) {
+      return pointer_plus(base, value(state, in.b), in.imm,
+                          static_cast<std::int64_t>(RegOp::PtrAdd));
+    }
+    return base;
+  }
+
+  /// The uniform values region e starts with: base_leaf_, with the
+  /// registers its prologue computes evaluated from that prologue.
+  void enter_region(std::size_t e) {
+    leaf_ = base_leaf_;
+    const std::int32_t start = info_.prologue_start[e];
+    if (start < 0) return;
+    std::vector<LaneVal> none;
+    for (std::size_t i = static_cast<std::size_t>(start);
+         info_.prologues[i].op != RegOp::Br; ++i) {
+      const RegInstr& in = info_.prologues[i];
+      leaf_[in.dst] = def_value(in, none);
+    }
+  }
+
+  /// Runs the dataflow over region e and returns the first rule the
+  /// region breaks, or nullptr with its argument roots in `roots`.
+  const char* check_region(std::size_t e,
+                           std::vector<WgInfo::LaneRoot>& roots) {
+    const std::vector<std::uint32_t>& blocks = cfg_.region_blocks[e];
+    // A region that stores nothing, and calls nothing that might, cannot
+    // race: only accesses to stored roots are constrained.
+    bool may_store = false;
+    for (const std::uint32_t b : blocks) {
+      const auto [begin, end] = block_range(fn_, b);
+      for (std::uint32_t i = begin; i < end && !may_store; ++i) {
+        const RegInstr& in = fn_.code[i];
+        may_store = is_store_op(in.op) ||
+                    (in.op == RegOp::Call &&
+                     touches_memory_[static_cast<std::size_t>(in.aux)]);
+      }
+    }
+    if (!may_store) return nullptr;
+    enter_region(e);
+    std::vector<std::int32_t> slot(cfg_.nblocks, -1);
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      slot[blocks[i]] = static_cast<std::int32_t>(i);
+    }
+    std::vector<std::vector<LaneVal>> entry_state(blocks.size());
+    entry_state[0].assign(nregs_, LaneVal{});  // blocks[0] is the entry
+    std::vector<std::uint32_t> work{cfg_.entries[e]};
+    std::vector<LaneVal> state;
+    while (!work.empty()) {
+      const std::uint32_t b = work.back();
+      work.pop_back();
+      state = entry_state[static_cast<std::size_t>(slot[b])];
+      const auto [begin, end] = block_range(fn_, b);
+      for (std::uint32_t i = begin; i < end; ++i) transfer(fn_.code[i], state);
+      if (cfg_.barrier_end[b]) continue;
+      for (const std::uint32_t s : cfg_.succ(b)) {
+        std::vector<LaneVal>& into =
+            entry_state[static_cast<std::size_t>(slot[s])];
+        if (into.empty()) {
+          into = state;
+          work.push_back(s);
+          continue;
+        }
+        bool changed = false;
+        for (std::size_t r = 0; r < nregs_; ++r) {
+          if (into[r] == state[r] || into[r].kind == LaneVal::Varying) {
+            continue;
+          }
+          LaneVal merged;
+          if (!merge_lanes(into[r], state[r], merged)) merged = LaneVal{};
+          if (merged != into[r]) {
+            into[r] = merged;
+            changed = true;
+          }
+        }
+        if (changed) work.push_back(s);
+      }
+    }
+
+    // Classify the region's memory instructions and calls.
+    std::vector<Access> accesses;
+    bool memory_call = false;
+    bool untracked_store = false;
+    bool untracked_load = false;
+    bool scattered_store = false;
+    for (const std::uint32_t b : blocks) {
+      state = entry_state[static_cast<std::size_t>(slot[b])];
+      const auto [begin, end] = block_range(fn_, b);
+      for (std::uint32_t i = begin; i < end; ++i) {
+        const RegInstr& in = fn_.code[i];
+        if (in.op == RegOp::Call &&
+            touches_memory_[static_cast<std::size_t>(in.aux)]) {
+          memory_call = true;
+        }
+        if (is_memory_op(in.op)) {
+          const bool store = is_store_op(in.op);
+          const LaneVal addr = address(in, state);
+          const bool rooted =
+              addr.kind == LaneVal::Ptr ||
+              (addr.kind == LaneVal::Uniform && addr.root != LaneVal::kNoRoot);
+          if (!rooted) {
+            (store ? untracked_store : untracked_load) = true;
+          } else if (addr.root != LaneVal::kPrivate) {
+            // Elements at distinct indices must not overlap.
+            const bool injective = addr.kind == LaneVal::Ptr && addr.vn != 0 &&
+                                   addr.stride >= access_size(in.op);
+            const std::uint32_t index =
+                injective ? number(kIndexSig, addr.vn, addr.stride,
+                                   access_size(in.op))
+                          : 0;
+            if (store && index == 0) scattered_store = true;
+            accesses.push_back({addr.root, index, store});
+          }
+        }
+        transfer(in, state);
+      }
+    }
+
+    // The rules, in the order the build log reports the first one broken.
+    if (memory_call) return "call to a helper that accesses memory";
+    if (untracked_store) return "store through an untracked pointer";
+    if (scattered_store) return "store not at a lane-injective index";
+    // Every access to a stored root uses the store's index.
+    for (const Access& st : accesses) {
+      if (!st.store) continue;
+      for (const Access& other : accesses) {
+        if (other.root == st.root && other.index != st.index) {
+          return "access to a stored buffer at another index";
+        }
+      }
+    }
+    const bool any_store =
+        std::any_of(accesses.begin(), accesses.end(),
+                    [](const Access& acc) { return acc.store; });
+    if (untracked_load && any_store) {
+      return "load through an untracked pointer beside a store";
+    }
+
+    // The argument roots, for the launch-time alias check.
+    for (const Access& acc : accesses) {
+      if (acc.root >= orig_.num_params) continue;
+      auto it = std::find_if(roots.begin(), roots.end(),
+                             [&](const WgInfo::LaneRoot& r) {
+                               return r.param == acc.root;
+                             });
+      if (it == roots.end()) {
+        roots.push_back({static_cast<std::uint16_t>(acc.root), acc.store,
+                         acc.index});
+        continue;
+      }
+      it->stored = it->stored || acc.store;
+      if (it->index != acc.index) it->index = 0;
+    }
+    return nullptr;
+  }
+
+  const Module& module_;
+  const RegFunction& orig_;  // owns the constant pool and parameters
+  const RegFunction& fn_;    // the wg copy
+  const Cfg& cfg_;
+  const std::vector<char>& touches_memory_;
+  WgInfo& info_;
+  const std::size_t nregs_;
+  std::vector<char> written_;  // per register: a block instruction writes it
+  // Per unwritten register: its uniform value, in any region and in the
+  // region being checked.
+  std::vector<LaneVal> base_leaf_;
+  std::vector<LaneVal> leaf_;
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      std::uint64_t h = 0;
+      for (const std::int64_t v : k) {
+        h = (h ^ static_cast<std::uint64_t>(v)) * 0x100000001B3ull;
+      }
+      return static_cast<std::size_t>(h ^ (h >> 29));
+    }
+  };
+  std::unordered_map<Key, std::uint32_t, KeyHash> numbers_;
+  std::vector<Key> keys_;  // by value number - 1
+};
+
+WgInfo analyze_kernel(const Module& module, std::size_t index,
+                      const std::vector<char>& touches_memory) {
   WgInfo info;
   const RegFunction& fn = module.reg_functions[index];
   if (fn.blocks.empty() || fn.code.empty()) {
@@ -715,6 +1254,7 @@ WgInfo analyze_kernel(const Module& module, std::size_t index) {
   const Liveness live(module, fn, cfg);
   Hoister(module, fn, cfg, live).run(info);
   compute_spill_lists(cfg, live, info);
+  LaneRule(module, fn, cfg, touches_memory, info).run();
   return info;
 }
 
@@ -725,20 +1265,32 @@ std::string analyze_wg_loops(Module& module) {
   module.wg_info.clear();
   module.wg_info.reserve(module.functions.size());
   std::string log;
+  const std::vector<char> touches_memory = functions_touching_memory(module);
   for (std::size_t i = 0; i < module.functions.size(); ++i) {
     if (!module.functions[i].is_kernel) {
       module.wg_info.emplace_back();  // helpers run inside a region
       continue;
     }
     const WgInfo& info =
-        module.wg_info.emplace_back(analyze_kernel(module, i));
+        module.wg_info.emplace_back(analyze_kernel(module, i, touches_memory));
     if (!log.empty()) log += '\n';
     log += "wg-loops: kernel '" + module.functions[i].name + "': ";
     if (info.eligible) {
       log += std::to_string(info.region_count) + " region(s), hoisted " +
              std::to_string(info.hoisted) + " of " +
              std::to_string(module.reg_functions[i].code.size()) +
-             " instructions";
+             " instructions, lanes in " +
+             std::to_string(std::count(info.lanes.begin(), info.lanes.end(),
+                                       1)) +
+             " of " + std::to_string(info.lanes.size()) + " regions";
+      std::string reasons;
+      for (std::size_t e = 0; e < info.lanes.size(); ++e) {
+        if (info.lanes[e]) continue;
+        reasons += reasons.empty() ? " (" : "; ";
+        reasons += "region " + std::to_string(e) + ": " +
+                   info.scalar_reason[e];
+      }
+      if (!reasons.empty()) log += reasons + ")";
     } else {
       log += std::string("ineligible (") + info.ineligible_reason + ")";
     }

@@ -26,7 +26,10 @@
 ///     where the original is shared with item-varying writers (the wg copy
 ///     of the kernel, WgInfo::fn),
 ///   * the live-register union over all region entries of that copy — the
-///     per-item spill set, which no longer holds the hoisted values.
+///     per-item spill set, which no longer holds the hoisted values,
+///   * the lanes rule: which regions are race-free enough for the
+///     work-group VM to run their items in lockstep lane groups
+///     (WgInfo::lanes), and for the others the first rule they break.
 ///
 /// Classic backward liveness over the basic blocks produced by
 /// lower_module plus linear scans of the region heads; runs at build time,
@@ -43,8 +46,9 @@ namespace hplrepro::clc {
 /// left untouched. Non-kernel functions and ineligible kernels get a
 /// default (ineligible) entry — the executor falls back to per-item VMs
 /// for those. Returns the build-log lines, one per kernel: why it is
-/// ineligible, or its region count and how many instructions were
-/// hoisted.
+/// ineligible, or its region count, how many instructions were hoisted
+/// and how many regions run in lanes, with the reason for each that does
+/// not.
 std::string analyze_wg_loops(Module& module);
 
 }  // namespace hplrepro::clc

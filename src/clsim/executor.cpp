@@ -138,7 +138,8 @@ public:
       // One activation runs the whole group as work-item loops; barriers
       // are handled inside run_group, so no per-item VMs or phase flags.
       vms_.resize(1);
-      vms_[0].prepare(module, kernel, args, group_items_);
+      vms_[0].prepare(module, kernel, args, buffers, launch,
+                      tracker_ ? &*tracker_ : nullptr);
     } else {
       if (!kernel.uses_barrier) {
         vms_.resize(1);
@@ -148,8 +149,28 @@ public:
       }
     }
     for (VM& vm : vms_) vm.set_fuel(fuel);
+    // Local ids and linear indices are the same in every group; only the
+    // WorkGroupInfo the items point at changes per group.
     items_.resize(group_items_);
+    std::size_t linear = 0;
+    for (std::size_t lz = 0; lz < launch.local_size[2]; ++lz) {
+      for (std::size_t ly = 0; ly < launch.local_size[1]; ++ly) {
+        for (std::size_t lx = 0; lx < launch.local_size[0]; ++lx) {
+          WorkItemInfo& item = items_[linear];
+          item.local_id[0] = lx;
+          item.local_id[1] = ly;
+          item.local_id[2] = lz;
+          item.linear_in_group = linear;
+          item.group = &group_;
+          ++linear;
+        }
+      }
+    }
   }
+
+  // items_ point at group_.
+  GroupRunner(const GroupRunner&) = delete;
+  GroupRunner& operator=(const GroupRunner&) = delete;
 
   /// Work-item loop trips / item-region executions accumulated by this
   /// runner's VM (wg mode only; zero otherwise). Feed the vm.wg_loop_trips
@@ -182,25 +203,10 @@ public:
     MemoryEnv mem{buffers_, std::span<std::byte>(local_arena_)};
     CoalescingTracker* tracker = tracker_ ? &*tracker_ : nullptr;
 
-    // Precompute per-item identifiers.
-    std::size_t linear = 0;
-    for (std::size_t lz = 0; lz < launch_.local_size[2]; ++lz) {
-      for (std::size_t ly = 0; ly < launch_.local_size[1]; ++ly) {
-        for (std::size_t lx = 0; lx < launch_.local_size[0]; ++lx) {
-          WorkItemInfo& item = items_[linear];
-          item.local_id[0] = lx;
-          item.local_id[1] = ly;
-          item.local_id[2] = lz;
-          item.group_id[0] = gx;
-          item.group_id[1] = gy;
-          item.group_id[2] = gz;
-          item.global_id[0] = gx * launch_.local_size[0] + lx;
-          item.global_id[1] = gy * launch_.local_size[1] + ly;
-          item.global_id[2] = gz * launch_.local_size[2] + lz;
-          item.linear_in_group = linear;
-          ++linear;
-        }
-      }
+    const std::size_t group_id[3] = {gx, gy, gz};
+    for (int d = 0; d < 3; ++d) {
+      group_.group_id[d] = group_id[d];
+      group_.global_base[d] = group_id[d] * launch_.local_size[d];
     }
 
     if constexpr (kIsWG) {
@@ -278,6 +284,7 @@ private:
   std::optional<CoalescingTracker> tracker_;
   std::vector<std::byte> local_arena_;
   std::vector<VM> vms_;
+  clc::WorkGroupInfo group_;  // the running group, which items_ point at
   std::vector<WorkItemInfo> items_;
   std::vector<char> done_;  // per-item phase flag, reused across groups
   std::size_t group_items_ = 0;

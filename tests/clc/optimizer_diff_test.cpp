@@ -12,9 +12,9 @@
 //                                  bits AND every counter, fuel semantics
 //                                  included, identical to per-item runs).
 // Every kernel in both corpora runs through all four configurations (the
-// language corpus also runs O0 through the work-group VM, whose register
-// code and hoisting differ from O2's); semantics preservation down to the
-// last bit, with measurable savings.
+// language, hoist and lane corpora also run O0 through the work-group VM,
+// whose register code and hoisting differ from O2's); semantics
+// preservation down to the last bit, with measurable savings.
 
 #include <gtest/gtest.h>
 
@@ -27,9 +27,11 @@
 
 #include "benchsuite/floyd.hpp"
 #include "benchsuite/kernel_corpus.hpp"
+#include "clsim/executor.hpp"
 #include "clsim/runtime.hpp"
 #include "exec_helper.hpp"
 #include "hoist_kernels.hpp"
+#include "lane_kernels.hpp"
 #include "hpl/HPL.h"
 
 namespace bs = hplrepro::benchsuite;
@@ -47,10 +49,11 @@ struct DiffRun {
 };
 
 /// Runs `kernel_name` over `global` items with one uint buffer of
-/// `words` elements (zero-initialised) at the given build options.
+/// `words` elements (zero-initialised), bound to the first `buffer_args`
+/// parameters, at the given build options.
 DiffRun run_diff(const std::string& source, const std::string& kernel_name,
                  std::size_t words, std::size_t global, std::size_t local,
-                 const std::string& options) {
+                 const std::string& options, int buffer_args = 1) {
   DiffRun run;
   run.words.assign(words, 0u);
 
@@ -66,7 +69,9 @@ DiffRun run_diff(const std::string& source, const std::string& kernel_name,
   }
 
   clsim::Kernel kernel(program, kernel_name);
-  kernel.set_arg(0, buffer);
+  for (int a = 0; a < buffer_args; ++a) {
+    kernel.set_arg(static_cast<unsigned>(a), buffer);
+  }
   std::optional<clsim::NDRange> local_range;
   if (local != 0) local_range = clsim::NDRange(local);
   clsim::Event e = queue.enqueue_ndrange_kernel(
@@ -108,6 +113,7 @@ struct CorpusKernel {
   std::size_t words;   // output buffer size in uints
   std::size_t global;  // NDRange size
   std::size_t local;   // work-group size; 0 = let the runtime pick
+  int buffer_args = 1;  // leading parameters bound to the buffer
 };
 
 // Each kernel writes its results into a __global uint* (reinterpreting
@@ -380,17 +386,15 @@ class OptimizerDiffLanguage
 
 TEST_P(OptimizerDiffLanguage, BitIdenticalAndNoMoreOps) {
   const CorpusKernel& ck = GetParam();
-  const DiffRun o0 = run_diff(ck.source, ck.kernel_name, ck.words,
-                              ck.global, ck.local, "-O0 -cl-interp=stack");
-  const DiffRun o2 = run_diff(ck.source, ck.kernel_name, ck.words,
-                              ck.global, ck.local, "-O2 -cl-interp=stack");
-  const DiffRun reg =
-      run_diff(ck.source, ck.kernel_name, ck.words, ck.global, ck.local,
-               "-O2 -cl-interp=threaded -cl-wg-loops=off");
-  const DiffRun wg = run_diff(ck.source, ck.kernel_name, ck.words,
-                              ck.global, ck.local, "-O2 -cl-interp=threaded");
-  const DiffRun o0_wg = run_diff(ck.source, ck.kernel_name, ck.words,
-                                 ck.global, ck.local, "-O0 -cl-interp=threaded");
+  const auto run = [&](const char* options) {
+    return run_diff(ck.source, ck.kernel_name, ck.words, ck.global, ck.local,
+                    options, ck.buffer_args);
+  };
+  const DiffRun o0 = run("-O0 -cl-interp=stack");
+  const DiffRun o2 = run("-O2 -cl-interp=stack");
+  const DiffRun reg = run("-O2 -cl-interp=threaded -cl-wg-loops=off");
+  const DiffRun wg = run("-O2 -cl-interp=threaded");
+  const DiffRun o0_wg = run("-O0 -cl-interp=threaded");
 
   ASSERT_EQ(o0.words.size(), o2.words.size());
   for (std::size_t i = 0; i < o0.words.size(); ++i) {
@@ -430,6 +434,41 @@ std::vector<CorpusKernel> hoist_corpus() {
 
 INSTANTIATE_TEST_SUITE_P(HoistCorpus, OptimizerDiffLanguage,
                          ::testing::ValuesIn(hoist_corpus()), corpus_label);
+
+// The kernels built to break the work-group VM's lane groups.
+std::vector<CorpusKernel> lane_corpus() {
+  std::vector<CorpusKernel> corpus;
+  for (const clc_test::LaneKernel& lk : clc_test::kLaneKernels) {
+    corpus.push_back({lk.label, "k", lk.source, lk.words, lk.global, lk.local,
+                      lk.buffer_args});
+  }
+  return corpus;
+}
+
+INSTANTIATE_TEST_SUITE_P(LaneCorpus, OptimizerDiffLanguage,
+                         ::testing::ValuesIn(lane_corpus()), corpus_label);
+
+// A trap in lockstep reports what the lowest trapping item reports when
+// the items run one at a time: every interpreter gives the same message.
+TEST(LaneHazards, TrapsReportWhatTheStackInterpreterReports) {
+  const std::uint64_t saved_fuel = clsim::work_item_fuel();
+  for (const clc_test::LaneTrapKernel& tk : clc_test::kLaneTrapKernels) {
+    if (tk.fuel != 0) clsim::set_work_item_fuel(tk.fuel);
+    for (const char* options :
+         {"-O0 -cl-interp=stack", "-O2 -cl-interp=stack",
+          "-O2 -cl-interp=threaded -cl-wg-loops=off",
+          "-O2 -cl-interp=threaded", "-O0 -cl-interp=threaded"}) {
+      std::string message = "no trap";
+      try {
+        run_diff(tk.source, "k", tk.words, tk.global, tk.local, options);
+      } catch (const clc::TrapError& e) {
+        message = e.what();
+      }
+      EXPECT_EQ(message, tk.message) << tk.label << " " << options;
+    }
+    clsim::set_work_item_fuel(saved_fuel);
+  }
+}
 
 const CorpusKernel& language_kernel(const std::string& label) {
   for (const auto& k : kLanguageCorpus) {
@@ -555,11 +594,14 @@ TEST_P(OptimizerDiffBenchsuite, BitIdenticalAndNoMoreOps) {
   EXPECT_EQ(o0.opt_report.level, clc::OptLevel::O0);
 }
 
-// The corpus rows plus the barrier-heavy extras — the rows where the
-// work-group-compilation contract is under the most pressure.
+// The corpus rows plus the barrier-heavy and lane extras — the rows where
+// the work-group-compilation contract is under the most pressure.
 std::vector<std::string> diff_kernel_names() {
   std::vector<std::string> names = bs::corpus_kernel_names();
   for (const std::string& name : bs::barrier_kernel_names()) {
+    names.push_back(name);
+  }
+  for (const std::string& name : bs::lane_kernel_names()) {
     names.push_back(name);
   }
   return names;

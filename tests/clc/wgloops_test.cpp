@@ -17,6 +17,7 @@
 #include "clc/builtins.hpp"
 #include "clc/compile.hpp"
 #include "hoist_kernels.hpp"
+#include "lane_kernels.hpp"
 
 namespace bs = hplrepro::benchsuite;
 namespace clc = hplrepro::clc;
@@ -414,6 +415,130 @@ __kernel void k(__global uint* out) {
                 "wg-loops: kernel 'k': ineligible (barrier in callee)"),
             std::string::npos)
       << helper.build_log;
+}
+
+// The lanes rule on the hazard corpus: races and shifted in-place
+// updates keep region 0 scalar; lane-private accesses, pure helpers and
+// grid-stride stores run in lanes (aliasing arguments are the launch's
+// business).
+TEST(WgLoops, LaneCorpusRegionZeroDecisions) {
+  for (const clc_test::LaneKernel& lk : clc_test::kLaneKernels) {
+    for (const char* options : {"-O2", "-O0"}) {
+      const clc::Module m = compile_with(lk.source, options);
+      const clc::WgInfo& info = kernel_info(m, "k");
+      ASSERT_TRUE(info.eligible) << lk.label;
+      ASSERT_FALSE(info.lanes.empty()) << lk.label;
+      EXPECT_EQ(info.lanes[0] != 0, lk.region0_lanes)
+          << lk.label << " " << options << ": "
+          << (info.scalar_reason[0] ? info.scalar_reason[0] : "lanes");
+    }
+  }
+}
+
+// The patterns.hpp kernels as HPL generates them (hpl/codegen.cpp).
+const char* kHplAxpy = R"CLC(
+__kernel void hpl_kernel_1(__global float* p0,
+    __global const float* p1,
+    float p2)
+{
+  const size_t idx = get_global_id(0);
+  p0[idx] = ((p2 * p1[idx]) + p0[idx]);
+}
+)CLC";
+
+const char* kHplReduce = R"CLC(
+__kernel void hpl_kernel_3(__global const float* p0,
+    __global float* p1,
+    uint p2)
+{
+  const size_t idx = get_global_id(0);
+  const size_t szx = get_global_size(0);
+  const size_t lidx = get_local_id(0);
+  const size_t lszx = get_local_size(0);
+  const size_t gidx = get_group_id(0);
+  __local float v0[128];
+  uint v1;
+  uint v2;
+  float v3 = 0.0f;
+  for (v1 = ((uint)idx); (v1 < p2); v1 += ((uint)szx)) {
+    v3 += p0[v1];
+  }
+  v0[lidx] = v3;
+  barrier(CLK_LOCAL_MEM_FENCE);
+  for (v2 = (((uint)lszx) >> 1); (v2 > 0u); v2 = (v2 >> 1)) {
+    if ((lidx < v2)) {
+      v0[lidx] += v0[(lidx + v2)];
+    }
+    barrier(CLK_LOCAL_MEM_FENCE);
+  }
+  if ((lidx == 0)) {
+    p1[gidx] = v0[0];
+  }
+}
+)CLC";
+
+TEST(WgLoops, AxpyRunsEveryRegionInLanes) {
+  clc::CompileOptions opt;
+  const clc::CompileResult r = clc::compile(kHplAxpy, opt);
+  const clc::WgInfo& info = kernel_info(r.module, "hpl_kernel_1");
+  ASSERT_EQ(info.lanes.size(), 1u);
+  EXPECT_TRUE(info.lanes[0]);
+  // Both arguments are roots; only the stored one at the lane's index.
+  ASSERT_EQ(info.lane_roots[0].size(), 2u);
+  EXPECT_NE(r.build_log.find("lanes in 1 of 1 regions"), std::string::npos)
+      << r.build_log;
+  EXPECT_EQ(r.build_log.find("region 0:"), std::string::npos)
+      << r.build_log;
+}
+
+// reduce_kernel's grid-stride region stores only its own __local slot, so
+// it runs in lanes; the tree regions read a neighbour's slot and the last
+// one stores at the group's index, so they stay scalar and say why.
+TEST(WgLoops, ReduceKernelTreeRegionsStayScalarWithReason) {
+  clc::CompileOptions opt;
+  const clc::CompileResult r = clc::compile(kHplReduce, opt);
+  const clc::WgInfo& info = kernel_info(r.module, "hpl_kernel_3");
+  ASSERT_EQ(info.lanes.size(), 3u);
+  EXPECT_TRUE(info.lanes[0]);
+  EXPECT_FALSE(info.lanes[1]);
+  EXPECT_FALSE(info.lanes[2]);
+  EXPECT_STREQ(info.scalar_reason[1], "store not at a lane-injective index");
+  EXPECT_NE(r.build_log.find("lanes in 1 of 3 regions (region 1: store not "
+                             "at a lane-injective index; region 2: store "
+                             "not at a lane-injective index)"),
+            std::string::npos)
+      << r.build_log;
+
+  // The tree's `lidx` crosses a barrier in a spill register, and values
+  // carried across a barrier count as varying: even with the final store
+  // at the item's own index the tree's stores stay unproven.
+  std::string tree_only = kHplReduce;
+  const std::string final_store = "    p1[gidx] = v0[0];";
+  tree_only.replace(tree_only.find(final_store), final_store.size(),
+                    "    p1[idx] = v0[0];");
+  const clc::CompileResult t = clc::compile(tree_only, opt);
+  const clc::WgInfo& tree = kernel_info(t.module, "hpl_kernel_3");
+  ASSERT_EQ(tree.lanes.size(), 3u);
+  EXPECT_TRUE(tree.lanes[0]);
+  EXPECT_FALSE(tree.lanes[1]);
+  EXPECT_FALSE(tree.lanes[2]);
+}
+
+// A store at the lane's index beside a load of the same buffer at a
+// neighbour's index is the race the second condition rejects.
+TEST(WgLoops, NeighbourReadOfStoredBufferKeepsRegionScalar) {
+  const clc::Module m = compile_with(R"CLC(
+__kernel void k(__global uint* a) {
+  uint i = (uint)get_global_id(0);
+  a[i] = a[i + 1u] + 1u;
+}
+)CLC",
+                                     "-O2");
+  const clc::WgInfo& info = kernel_info(m, "k");
+  ASSERT_EQ(info.lanes.size(), 1u);
+  EXPECT_FALSE(info.lanes[0]);
+  EXPECT_STREQ(info.scalar_reason[0],
+               "access to a stored buffer at another index");
 }
 
 TEST(WgLoops, StackInterpreterBuildsNoWgForm) {

@@ -336,6 +336,54 @@ TEST(Coalescing, SlotPathMatchesReferenceOnRandomStreams) {
   replay_streams_against_reference(/*slotted=*/true);
 }
 
+// Streams the ascending fast paths do not serve: each warp issues its
+// segments in descending order, or scattered over a few pages with
+// repeats, from a handful of instructions in turn (the order work-item
+// loops and lane groups produce), with accesses spanning two segments.
+// Only a segment above every one the warp recorded skips the search.
+TEST(Coalescing, DescendingAndScatteredStreamsMatchReference) {
+  constexpr std::uint32_t kSizes[] = {1, 4, 8, 16, 48};
+  for (const bool slotted : {false, true}) {
+    for (const unsigned warp : {1u, 8u, 32u}) {
+      for (const unsigned segment : {32u, 64u}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+          SCOPED_TRACE(std::string(slotted ? "slotted" : "keyed") + " warp " +
+                       std::to_string(warp) + " segment " +
+                       std::to_string(segment) + " seed " +
+                       std::to_string(seed));
+          std::mt19937_64 rng(seed * 104729 + warp * 10 + segment);
+          auto below = [&](std::uint64_t n) { return rng() % n; };
+          Subject tracker(warp, segment, slotted);
+          ReferenceTracker reference(warp, segment);
+          const std::uint32_t keys[] = {3u, 1u << 20, 77u};
+          std::uint64_t item = 0;
+          for (int burst = 0; burst < 300; ++burst) {
+            const std::uint64_t buffer = below(2);
+            const std::uint32_t size = kSizes[below(5)];
+            const std::uint64_t run = 1 + below(64);
+            const bool descending = below(2) == 0;
+            const std::uint64_t top = 8192 + below(8192);
+            for (std::uint64_t r = 0; r < run; ++r) {
+              for (const std::uint32_t key : keys) {
+                const std::uint64_t offset =
+                    descending ? top - r * size - below(3) * segment
+                               : below(4) * 4096 + below(512);
+                tracker.access_key(key, item + r, buffer, offset, size);
+                reference.global_access(key, item + r, buffer, offset, size);
+              }
+            }
+            item += run;
+            if (below(30) == 0) {
+              ASSERT_EQ(tracker.finish(), reference.finish()) << burst;
+            }
+          }
+          ASSERT_EQ(tracker.finish(), reference.finish());
+        }
+      }
+    }
+  }
+}
+
 // Keyed instructions take slots past the module's, so a key never shares
 // state with a slot of the same number; reset() drops the keyed slots.
 TEST(Coalescing, KeyedSlotsFollowModuleSlots) {
